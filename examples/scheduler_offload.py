@@ -9,10 +9,10 @@ section 7.2.2 optimization ladder.
 Run:  python examples/scheduler_offload.py
 """
 
-from repro.bench.ascii_plot import render_curves
 from repro.bench.fig4_fifo import P99_LIMIT_NS, SCENARIOS, sweep
 from repro.bench.opt_breakdown import saturation_for
 from repro.core import WaveOpts
+from repro.obs.ascii import render_curves
 from repro.sched.experiment import saturation_throughput
 
 

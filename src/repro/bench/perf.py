@@ -10,10 +10,11 @@ Two measurements, written to ``BENCH_perf.json``:
 - **partitioned kernel vs serial**: the same workload spread over the
   three hardware-derived timing domains (host / interconnect / NIC),
   run through the partitioned parallel-DES engine
-  (:mod:`repro.sim.partition`) in both its modes -- the window-batched
-  default and the exact-order merge fallback -- and the serial kernel;
-  gates on dispatch-count equality across all three and on the batched
-  mode actually beating serial (>= 1.0x).
+  (:mod:`repro.sim.partition`) in its window-batched default and
+  through the serial kernel; gates on dispatch-count equality between
+  the two and on the batched mode actually beating serial (>= 1.0x).
+  This synthetic workload never degrades; real model workloads do,
+  within their first few windows, and then run on the serial kernel.
 - **fig4a fast wall-clock**: the end-to-end Fig 4a sweep in ``--fast``
   mode, serially and (on multicore hosts) through the ``--jobs``
   process pool.
@@ -73,9 +74,7 @@ REGRESSION_FLOOR = 0.70
 # serial kernel on the same workload, same run -- measured in the
 # window-batched default mode, which drains proven-independent safe
 # windows without per-event merge compares and must actually beat the
-# serial kernel on the domain-spread workload. (The exact-order merge
-# fallback is recorded alongside as ``exact_speedup_vs_serial`` but
-# not gated; it historically sits around 0.7-0.9x.)
+# serial kernel on the domain-spread workload.
 PARTITION_SPEEDUP_FLOOR = 1.0
 # --check floor on the kernel's throughput with the timeline sampler
 # attached (telemetry hub + metric timelines at a deliberately hot
@@ -225,7 +224,7 @@ def partition_kernel_point(engine: str,
                            chains: int = 40, racers: int = 40,
                            preempts: int = 10, cross: int = 9) -> dict:
     """One partitioned-kernel bench run; the same workload whatever the
-    ``engine`` ("serial", "exact", or "batched"), spread over the three
+    ``engine`` ("serial" or "batched"), spread over the three
     hardware-derived domains with cross-domain sender loops."""
     from repro.hw import HwParams
     from repro.hw.pcie import Interconnect
@@ -236,10 +235,6 @@ def partition_kernel_point(engine: str,
         plan = Interconnect(HwParams.pcie()).partition_plan()
         part = env.enable_partition(plan, use_partition=True)
         assert part is not None, "hw-derived plan must be usable"
-        # Pin the mode explicitly so the measurement is what it says
-        # it is, whatever the ambient REPRO_NO_WINDOW_BATCH hatch.
-        part.batching = engine == "batched"
-        part.threaded = False
     _build_workload(env, chains, racers, preempts,
                     domains=("host", "ic", "nic"), cross=cross)
     t0 = time.perf_counter()
@@ -254,27 +249,25 @@ def partition_kernel_point(engine: str,
     if part is not None:
         point["domain_switches"] = part.domain_switches
         point["cross_sends"] = part.cross_sends
-        if engine == "batched":
-            point["windows_batched"] = part.windows_batched
-            point["events_batched"] = part.events_batched
-            point["batch_solo"] = part.batch_solo
-            point["batch_degrades"] = part.batch_degrades
+        point["windows_batched"] = part.windows_batched
+        point["events_batched"] = part.events_batched
+        point["batch_solo"] = part.batch_solo
+        point["batch_degrades"] = part.batch_degrades
     return point
 
 
 def measure_partition(repeats: int = 3) -> dict:
     """Serial vs partitioned kernel on the domain-spread workload.
 
-    Three engines, same workload: the serial kernel, the partitioned
-    engine's exact-order merge (per-event global ordering, the
-    byte-identity fallback), and its window-batched default (domains
-    drain proven-independent safe windows without consulting each
-    other). ``events_dispatched`` equality across all three is the hard
-    ``--check`` gate -- they ran the identical workload or the bench is
-    meaningless -- and the batched mode must reach
-    :data:`PARTITION_SPEEDUP_FLOOR` (>= 1.0x serial).
+    Two engines, same workload: the serial kernel and the partitioned
+    engine's window-batched default (domains drain proven-independent
+    safe windows without consulting each other). ``events_dispatched``
+    equality between the two is the hard ``--check`` gate -- they ran
+    the identical workload or the bench is meaningless -- and the
+    batched mode must reach :data:`PARTITION_SPEEDUP_FLOOR` (>= 1.0x
+    serial).
     """
-    for engine in ("serial", "exact", "batched"):  # warmup
+    for engine in ("serial", "batched"):  # warmup
         partition_kernel_point(engine, horizon_ns=200_000)
     # The speedups are *medians of paired ratios* over order-alternated
     # serial/batched pairs: machine-wide load drift inflates both walls
@@ -282,10 +275,9 @@ def measure_partition(repeats: int = 3) -> dict:
     # makes best-of-N-vs-best-of-N flake across the 20%+ wall variance
     # observed on CI-class shared runners), and alternating which
     # engine runs first cancels the bias a monotone slowdown would
-    # otherwise put on whichever engine always ran second. The exact
-    # merge rides along in the first ``repeats`` rounds.
+    # otherwise put on whichever engine always ran second.
     pairs = 2 * repeats + 1
-    serial_runs, exact_runs, part_runs = [], [], []
+    serial_runs, part_runs = [], []
     for i in range(pairs):
         if i % 2 == 0:
             serial_runs.append(partition_kernel_point("serial"))
@@ -293,8 +285,6 @@ def measure_partition(repeats: int = 3) -> dict:
         else:
             part_runs.append(partition_kernel_point("batched"))
             serial_runs.append(partition_kernel_point("serial"))
-        if i < repeats:
-            exact_runs.append(partition_kernel_point("exact"))
 
     def _evps(run):
         return run["events_dispatched"] / run["wall_s"]
@@ -307,22 +297,16 @@ def measure_partition(repeats: int = 3) -> dict:
         return (ordered[mid - 1] + ordered[mid]) / 2.0
 
     serial_best = max(_evps(r) for r in serial_runs)
-    exact_best = max(_evps(r) for r in exact_runs)
     part_best = max(_evps(r) for r in part_runs)
     speedup = _median([_evps(p) / _evps(s)
                        for p, s in zip(part_runs, serial_runs)])
-    exact_speedup = _median([_evps(e) / _evps(s)
-                             for e, s in zip(exact_runs, serial_runs)])
-    serial, exact, part = serial_runs[0], exact_runs[0], part_runs[0]
+    serial, part = serial_runs[0], part_runs[0]
     return {
         "events_per_sec": round(part_best),
         "serial_events_per_sec": round(serial_best),
-        "exact_events_per_sec": round(exact_best),
         "speedup_vs_serial": round(speedup, 3),
-        "exact_speedup_vs_serial": round(exact_speedup, 3),
         "events_dispatched": part["events_dispatched"],
         "serial_events_dispatched": serial["events_dispatched"],
-        "exact_events_dispatched": exact["events_dispatched"],
         "events_logical": part["events_logical"],
         "events_scheduled": part["events_scheduled"],
         "domain_switches": part["domain_switches"],
@@ -332,7 +316,6 @@ def measure_partition(repeats: int = 3) -> dict:
         "batch_solo": part["batch_solo"],
         "batch_degrades": part["batch_degrades"],
         "runs": part_runs,
-        "exact_runs": exact_runs,
         "serial_runs": serial_runs,
     }
 
@@ -495,8 +478,7 @@ def main(fast: bool = False, check: bool = False,
     partition = measure_partition(repeats=max(1, repeats))
     print(f"  window-batched {partition['events_per_sec']:,} ev/s vs serial "
           f"{partition['serial_events_per_sec']:,} ev/s "
-          f"({partition['speedup_vs_serial']:.2f}x; exact-order merge "
-          f"{partition['exact_speedup_vs_serial']:.2f}x), "
+          f"({partition['speedup_vs_serial']:.2f}x), "
           f"{partition['windows_batched']:,} windows, "
           f"{partition['batch_solo']:,} solo steps, "
           f"{partition['cross_sends']:,} cross sends", flush=True)
@@ -595,18 +577,15 @@ def main(fast: bool = False, check: bool = False,
                       f"committed {events_base:,})")
                 return 1
         # Partitioned-kernel gates: dispatch-count equality is
-        # deterministic and exact (all three engines ran the same
-        # workload, or this bench proves nothing); the window-batched
-        # speedup floor demands the batched default actually beats the
-        # serial kernel.
+        # deterministic and exact (both engines ran the same workload,
+        # or this bench proves nothing); the window-batched speedup
+        # floor demands the batched default actually beats the serial
+        # kernel.
         if (partition["events_dispatched"]
-                != partition["serial_events_dispatched"]
-                or partition["exact_events_dispatched"]
                 != partition["serial_events_dispatched"]):
             print(f"PERF REGRESSION: dispatch counts diverged on the "
                   f"same workload: batched "
-                  f"{partition['events_dispatched']:,}, exact "
-                  f"{partition['exact_events_dispatched']:,}, serial "
+                  f"{partition['events_dispatched']:,}, serial "
                   f"{partition['serial_events_dispatched']:,}")
             return 1
         if partition["speedup_vs_serial"] < PARTITION_SPEEDUP_FLOOR:
@@ -641,9 +620,7 @@ def main(fast: bool = False, check: bool = False,
                  f"{EVENTS_CEILING * events_base:,.0f}"
                  if events_base and events_got else "")
               + f", window-batched {partition['speedup_vs_serial']:.2f}x "
-              f"of serial (exact merge "
-              f"{partition['exact_speedup_vs_serial']:.2f}x) with equal "
-              f"dispatch counts, timeline sampling "
+              f"of serial with equal dispatch counts, timeline sampling "
               f"{timeline['overhead_vs_off']:.2f}x of off")
     return 0
 

@@ -57,7 +57,6 @@ def history_entry(result: dict, timestamp: str) -> dict:
         "kernel_events_dispatched": kernel.get("events_dispatched"),
         "partition_events_per_sec": partition.get("events_per_sec"),
         "partition_speedup_vs_serial": partition.get("speedup_vs_serial"),
-        "partition_exact_speedup": partition.get("exact_speedup_vs_serial"),
         "kernel_timeline_overhead": timeline.get("overhead_vs_off"),
         "fig4a_serial_wall_s": fig4a.get("serial_wall_s"),
         "fig4a_parallel_wall_s": fig4a.get("parallel_wall_s"),
@@ -164,7 +163,6 @@ def render_trend(history: List[dict], baseline: Optional[dict] = None,
             _fmt_delta(ev, prev_ev),
             _fmt_delta(ev, first_ev) if index else "-",
             _fmt_num(entry.get("partition_speedup_vs_serial"), "x"),
-            _fmt_num(entry.get("partition_exact_speedup"), "x"),
             _fmt_num(entry.get("fig4a_serial_wall_s"), "s"),
             _fmt_num(entry.get("fig4a_parallel_wall_s"), "s"),
         ])
@@ -172,7 +170,7 @@ def render_trend(history: List[dict], baseline: Optional[dict] = None,
             prev_ev = ev
     out.append(md_table(
         ["run", "timestamp", "kernel ev/s", "events sched", "vs prev",
-         "vs first", "partition", "exact merge", "fig4a serial",
+         "vs first", "partition", "fig4a serial",
          "fig4a --jobs"],
         rows))
     out.append("")

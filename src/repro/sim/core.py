@@ -117,19 +117,21 @@ class Environment:
     Engine contract: the queueing machinery behind this class is
     *pluggable*. :meth:`enable_partition` swaps in the partitioned
     engine from :mod:`repro.sim.partition` (per-domain heap + wheel,
-    conservative lookahead windows); every engine must preserve the
-    observable kernel semantics -- exact ``(time, priority, seq)``
-    dispatch order, the :attr:`_seq` stream, and
-    :attr:`events_dispatched` -- which the cross-engine conformance
-    suite (``tests/conformance/``) pins. Per-engine *admission* counters
+    conservative lookahead windows). Its exact-order merge, like every
+    serial variant, preserves the observable kernel semantics -- exact
+    ``(time, priority, seq)`` dispatch order, the :attr:`_seq` stream,
+    and :attr:`events_dispatched` -- which the cross-engine conformance
+    suite (``tests/conformance/``) pins; its window-batched mode may
+    reorder same-time cross-domain events and so can change results
+    (``docs/performance.md`` section 7). Per-engine *admission* counters
     (:attr:`events_scheduled`, :attr:`timers_coalesced`, wheel
     diagnostics) may legitimately differ between engines.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "faults",
                  "telemetry", "_timeline", "_timeout_pool", "_profile_hook",
-                 "_wheel", "_staged", "_partition", "events_scheduled",
-                 "events_dispatched", "timers_coalesced",
+                 "_wheel", "_staged", "_partition", "_engine",
+                 "events_scheduled", "events_dispatched", "timers_coalesced",
                  "cancelled_purged", "_cancel_backlog")
 
     def __init__(self, initial_time: float = 0,
@@ -147,9 +149,12 @@ class Environment:
         #: heap (or dispatched inline) between callbacks. None outside
         #: the dispatch loop.
         self._staged: Optional[List[Tuple[float, int, int, Event]]] = None
-        #: Installed :class:`repro.sim.partition.PartitionEngine`, or
-        #: None for the serial single-queue kernel (the default).
+        #: Installed :class:`repro.sim.partition.PartitionEngine` while it
+        #: dispatches, or None for the serial single-queue kernel (the
+        #: default) -- including after the engine handed a run over to
+        #: it. :attr:`partition` keeps returning the engine (``_engine``).
         self._partition = None
+        self._engine = None
         self.events_scheduled = 0
         self.events_dispatched = 0
         self.timers_coalesced = 0
@@ -189,19 +194,7 @@ class Environment:
 
     @property
     def now(self) -> float:
-        """Current simulated time (ns).
-
-        During a *concurrent* batched round of the partitioned engine
-        (free-threaded window executor) each window carries its own
-        clock; reads from inside a window resolve to its domain's time
-        via the engine's thread-local. Everywhere else this is the
-        plain scalar clock.
-        """
-        part = self._partition
-        if part is not None and part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            if ctx is not None:
-                return ctx.domain._now
+        """Current simulated time (ns)."""
         return self._now
 
     @property
@@ -224,8 +217,6 @@ class Environment:
         """
         part = self._partition
         if part is not None:
-            if part._concurrent_live:
-                return part.timeout(delay, value)
             pool = self._timeout_pool
             if pool:
                 if delay < 0:
@@ -306,9 +297,6 @@ class Environment:
     def _schedule(self, event: Event, priority: int, delay: float = 0) -> None:
         part = self._partition
         if part is not None:
-            if part._concurrent_live:
-                part.schedule(event, priority, delay)
-                return
             self._seq += 1
             domain = part.current
             if part._running and domain is part._run_domain:
@@ -678,8 +666,12 @@ class Environment:
 
     @property
     def partition(self):
-        """The installed partition engine, or None (serial kernel)."""
-        return self._partition
+        """The installed partition engine, or None (serial kernel).
+
+        Still the engine after it handed its run to the serial kernel,
+        so callers can read the counters of the part it dispatched.
+        """
+        return self._engine
 
     def enable_partition(self, plan, use_partition: Optional[bool] = None):
         """Install the partitioned parallel-DES engine for this env.
@@ -705,15 +697,15 @@ class Environment:
             use_partition = not os.environ.get(_NO_PARTITION_ENV)
         if not use_partition or plan is None or not plan.usable():
             return None
-        if self._partition is not None:
+        if self._engine is not None:
             raise RuntimeError("partition engine already installed")
         if self._queue or self._staged or (
                 self._wheel is not None and self._wheel._count):
             raise RuntimeError(
                 "enable_partition() requires a fresh environment "
                 "(events already scheduled)")
-        self._partition = PartitionEngine(self, plan)
-        return self._partition
+        self._partition = self._engine = PartitionEngine(self, plan)
+        return self._engine
 
     def domain(self, name: str):
         """Context manager routing schedules to domain ``name``.

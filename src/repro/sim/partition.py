@@ -17,23 +17,6 @@ loop alternates between domains under a conservative safe-time window.
 
 The engine runs in one of two modes:
 
-**Exact-order merge** (fallback; always available). The run loop is a
-merge across the per-domain queues preserving the *global*
-``(time, priority, seq)`` dispatch order exactly, never an
-out-of-order execution. That makes byte-identity unconditional on the
-quality of the domain tagging (a mis-tagged event still dispatches at
-its exact global position). When the merge picks the domain owning the
-globally earliest live event, it may keep dispatching that domain's
-events without re-consulting the others until it reaches the *bound*:
-the runner-up lower bound across all other domains (their cleaned heap
-heads, their wheels' earliest bucket starts). Cross-domain inserts made
-while a domain runs lower the bound immediately, so the window is
-always conservative. Within the window the inner loop is the same
-tight dispatch loop as the serial kernel -- staged fast path, lazy
-cancellation, freelist recycling, per-domain wheel promotion. When
-every *other* domain is empty the window runs unfenced (no per-event
-bound comparison) until a cross-domain insert re-arms the fence.
-
 **Window-batched dispatch** (the default). YAWNS-style synchronous
 rounds: at each round barrier the engine reads every domain's earliest
 pending time (its *head*), gives each domain a *fence* --
@@ -56,24 +39,36 @@ cross-domain sends, shared-resource grants) never dispatch inside a
 batched window; a cross head publishes its time with *no* lookahead
 credit, fencing every other domain at or below it, and the event
 dispatches through an exact solo merge step once it is the global
-minimum. Telemetry-instrumented runs, profiled runs, and
-``run(until=<event>)`` take the exact-order merge for the whole run
-(span ordering and stop points are observably order-sensitive), and a
-detected contract violation (an ambient insert below a time its target
-domain already drained past this round) sticky-degrades the rest of
-the run to exact order. ``REPRO_NO_WINDOW_BATCH=1`` pins the
-exact-order merge for differential testing.
+minimum. A detected contract violation (an ambient insert below a time
+its target domain already drained past this round, or a Store/Resource
+touched from a second domain) sticky-degrades the run: batching stays
+off for the rest of it. On the model workloads this happens within the
+first few windows, and the batched prefix can already differ from the
+serial kernel's output (see ``docs/performance.md`` section 7).
 
-On top of batching, ``REPRO_PARALLEL_DOMAINS`` runs each round's
-windows through a thread pool (thread per domain, barrier at the round
-close). On free-threaded builds (``sys._is_gil_enabled()`` false;
-auto-enabled there) windows run concurrently, with per-window sequence
-blocks, staged-local scheduling, and a cross-domain outbox merged at
-the barrier; on GIL builds windows are submitted one at a time -- the
-same plumbing and barrier, byte-identical results, no data races --
-so stock CPython keeps its win from the cheaper merge loop alone.
-``force`` submits concurrently even under the GIL (the races the
-design must not have are then exercisable by tests on stock builds).
+**Exact-order merge**. A merge across the per-domain queues preserving
+the *global* ``(time, priority, seq)`` dispatch order exactly. When it
+picks the domain owning the globally earliest live event, it keeps
+dispatching that domain's events without re-consulting the others
+until it reaches the *bound*: the runner-up lower bound across all
+other domains (their cleaned heap heads, their wheels' earliest bucket
+starts). Cross-domain inserts made while a domain runs lower the bound
+immediately, so the window is always conservative. It serves the runs
+batching cannot: telemetry-instrumented runs (span order is
+observable; each merge window feeds the :class:`PartitionObservatory`),
+``run(until=<event>)`` (the stop point is order-sensitive), profiled
+runs, and ``step``/``peek``.
+
+**Handoff to the serial kernel.** Any other run with batching off --
+degraded mid-run, or before it started -- is finished by the serial
+kernel: the engine moves every domain's heap, staged and wheel entries
+into the environment's own heap and wheel, each under its original
+``(time, priority, seq)`` key, clears the environment's hot-path
+``_partition`` slot and calls :meth:`Environment.run`. The merge would
+dispatch in that same global order, so the handoff moves no output; it
+only drops the merge's per-window overhead. ``env.partition`` keeps
+returning the engine, whose counters cover the part of the run it
+dispatched.
 
 **Fallbacks.** The serial single-queue kernel remains available;
 :meth:`Environment.enable_partition` refuses to install (returning
@@ -91,64 +86,20 @@ assuming them silently.
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.core import (EmptySchedule, Environment, StopSimulation,
                             _POOL_MAX)
-from repro.sim.events import Event, NORMAL, RearmableTimer, Timeout
-from repro.sim.wheel import (MIN_COARSE_DELAY, MIN_WHEEL_DELAY, TimerWheel)
+from repro.sim.events import Event, RearmableTimer, Timeout
+from repro.sim.wheel import MIN_COARSE_DELAY, MIN_WHEEL_DELAY, TimerWheel
 
 _INF = float("inf")
-
-#: Environment variable pinning the exact-order merge (no window
-#: batching). Differential-testing escape hatch, mirroring
-#: REPRO_NO_PARTITION / REPRO_NO_TIMER_WHEEL.
-_NO_BATCH_ENV = "REPRO_NO_WINDOW_BATCH"
-
-#: Environment variable controlling the thread-pool window executor:
-#: unset/"auto" enables it only on free-threaded builds; "0" disables;
-#: "force" submits windows concurrently even under the GIL; any other
-#: truthy value enables the executor (concurrent only when
-#: free-threaded, serialized submission otherwise).
-_PARALLEL_ENV = "REPRO_PARALLEL_DOMAINS"
 
 #: Cancel-backlog size that triggers a bulk purge of cancelled wheel
 #: entries at a window close (see ``Environment.cancelled_purged``).
 _PURGE_BACKLOG = 64
-
-#: Per-window sequence-number block size for concurrent rounds: each
-#: window allocates seqs from a disjoint block so no two threads touch
-#: ``env._seq``. Far larger than any window can dispatch.
-_SEQ_STRIDE = 1 << 20
-
-
-def _gil_enabled() -> bool:
-    """True on GIL builds (concurrent window dispatch needs no-GIL)."""
-    check = getattr(sys, "_is_gil_enabled", None)
-    return True if check is None else bool(check())
-
-
-#: Process-wide window executor, created lazily at the first threaded
-#: round and shared by every engine (rounds are synchronous within a
-#: run, so sharing is safe and avoids leaking a pool per Environment).
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _window_pool(workers: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool._max_workers < workers:
-            _pool = ThreadPoolExecutor(
-                max_workers=max(workers, 2),
-                thread_name_prefix="repro-domain")
-        return _pool
 
 #: Sentinel ordering key greater than every real ``(time, ...)`` key.
 #: A 1-tuple: comparisons against real keys are decided on element 0
@@ -336,8 +287,7 @@ class PartitionObservatory:
 class Domain:
     """One timing domain's share of the event queue."""
 
-    __slots__ = ("name", "index", "queue", "wheel", "staged", "_ran_to",
-                 "_now")
+    __slots__ = ("name", "index", "queue", "wheel", "staged", "_ran_to")
 
     def __init__(self, name: str, index: int,
                  wheel: Optional[TimerWheel]):
@@ -351,13 +301,8 @@ class Domain:
         #: Highest fence this domain has verifiably drained below under
         #: window batching (its local virtual-time floor). An ambient
         #: insert below this is a misorder -- the event's window already
-        #: closed -- and sticky-degrades the run to exact-order merge.
+        #: closed -- and sticky-degrades the run (batching off).
         self._ran_to = -_INF
-        #: Per-domain clock for *concurrent* window dispatch only: with
-        #: windows on separate threads, ``env._now`` cannot carry each
-        #: window's event time, so ``env.now`` reads resolve here via
-        #: the engine's thread-local window context.
-        self._now = 0.0
 
     def __repr__(self) -> str:
         return (f"<Domain {self.name!r} queue={len(self.queue)} "
@@ -376,68 +321,33 @@ class _DomainContext:
 
     def __enter__(self):
         part = self._part
-        if part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            if ctx is not None:
-                self._prev = ctx.current
-                ctx.current = self._domain
-                return self._domain.name
         self._prev = part.current
         part.current = self._domain
         return self._domain.name
 
     def __exit__(self, *exc):
-        part = self._part
-        if part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            if ctx is not None:
-                ctx.current = self._prev
-                return False
-        part.current = self._prev
+        self._part.current = self._prev
         return False
-
-
-class _WindowCtx:
-    """Thread-local state of one concurrently-dispatching window.
-
-    Everything a window would otherwise contend on lives here: its seq
-    block (``[seq, seq_end)``, disjoint per window), the ambient
-    routing target (``current`` -- the thread's view of
-    ``PartitionEngine.current``), heap-admission and dispatch counts
-    (merged into the environment at the barrier), and the *outbox* of
-    cross-domain inserts, applied single-threaded at the barrier.
-    """
-
-    __slots__ = ("domain", "current", "seq", "seq_end", "scheduled",
-                 "dispatched", "outbox")
-
-    def __init__(self, domain: Domain, seq: int, seq_end: int):
-        self.domain = domain
-        self.current = domain
-        self.seq = seq
-        self.seq_end = seq_end
-        self.scheduled = 0
-        self.dispatched = 0
-        self.outbox: List[Tuple[Domain, float, int, int, Event, float]] = []
 
 
 class PartitionEngine:
     """The partitioned event-queue engine behind an :class:`Environment`.
 
     Installed by :meth:`Environment.enable_partition`; the environment
-    forwards ``timeout``/``_schedule``/``run``/``step``/``peek`` here.
-    Must preserve the serial kernel's observable semantics exactly --
-    the cross-engine conformance suite (``tests/conformance/``) is the
-    proof obligation for every edit to this file.
+    inlines its ``timeout``/``_schedule`` inserts and forwards
+    ``run``/``step``/``peek`` here until a run is handed off. The exact
+    merge must preserve the serial kernel's observable semantics
+    exactly -- the cross-engine conformance suite
+    (``tests/conformance/``) is the proof obligation for every edit to
+    this file.
     """
 
     __slots__ = ("env", "plan", "domains", "_by_name", "default", "current",
                  "_running", "_run_domain", "_bound", "cross_sends",
                  "domain_switches", "observatory", "_bound_owner",
-                 "_stall_at", "batching", "threaded", "_concurrent",
-                 "_concurrent_live", "_tls", "_round_active", "_incoming",
+                 "_stall_at", "batching", "_round_active", "_incoming",
                  "windows_batched", "events_batched", "batch_solo",
-                 "batch_degrades", "unfenced_windows", "_fence")
+                 "batch_degrades", "_fence")
 
     def __init__(self, env: Environment, plan: PartitionPlan):
         self.env = env
@@ -484,31 +394,9 @@ class PartitionEngine:
         else:
             self.observatory = None
         #: Window-batched dispatch (module docstring). Sticky-degradable
-        #: at runtime; tests toggle it per engine. Telemetry pins exact
-        #: order (span ordering is observable), as does REPRO_NO_WINDOW_BATCH.
-        self.batching = (tel is None
-                         and not os.environ.get(_NO_BATCH_ENV))
-        mode = os.environ.get(_PARALLEL_ENV, "").strip().lower()
-        free = not _gil_enabled()
-        if mode in ("", "auto"):
-            self.threaded = free
-            self._concurrent = free
-        elif mode in ("0", "off", "no", "false"):
-            self.threaded = False
-            self._concurrent = False
-        elif mode == "force":
-            self.threaded = True
-            self._concurrent = True
-        else:
-            self.threaded = True
-            self._concurrent = free
-        if not self.batching:
-            self.threaded = False
-        #: True only while a concurrent round's windows are in flight;
-        #: gates every thread-local redirect (scheduling, ``env.now``,
-        #: ``current``) so the serial paths pay one boolean load.
-        self._concurrent_live = False
-        self._tls = threading.local()
+        #: at runtime. Telemetry pins exact order (span ordering is
+        #: observable).
+        self.batching = tel is None
         #: True while ``_run_batched`` owns the run (misorder detection
         #: window for ambient cross-domain inserts).
         self._round_active = False
@@ -532,12 +420,8 @@ class PartitionEngine:
         #: heads and fence deadlocks.
         self.batch_solo = 0
         #: Ambient-insert misorders detected (each sticky-degrades the
-        #: remainder of its run to the exact-order merge).
+        #: remainder of its run: batching off, then the handoff).
         self.batch_degrades = 0
-        #: Exact-merge windows that ran with every other domain empty
-        #: (the single-nonempty-queue fast path: no per-event fence
-        #: comparisons).
-        self.unfenced_windows = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -555,31 +439,18 @@ class PartitionEngine:
                              f"plan has {self.domain_names()}")
         return _DomainContext(self, domain)
 
-    def _ambient(self) -> Domain:
-        """The domain ambient code is executing in right now.
-
-        Inside a concurrent window that is the window's thread-local
-        ctx target; everywhere else the engine's shared routing slot.
-        """
-        if self._concurrent_live:
-            ctx = getattr(self._tls, "ctx", None)
-            if ctx is not None:
-                return ctx.current
-        return self.current
-
     def _shared_state_touch(self) -> None:
         """A Store/Resource was touched from a second domain.
 
         Shared-state results are computed at call time (a ``get`` pops
         its item the moment it runs), so cross-domain sharing is
         ordering-sensitive in a way window batching cannot preserve.
-        Sticky-degrade to the exact-order merge; mid-round the current
-        round still completes (best-effort, same as the ambient-insert
-        degrade).
+        Sticky-degrade: batching turns off, and the run is handed to
+        the serial kernel once the current round completes
+        (best-effort, same as the ambient-insert degrade).
         """
         if self.batching:
             self.batching = False
-            self.threaded = False
             if self._round_active:
                 self.batch_degrades += 1
 
@@ -630,101 +501,11 @@ class PartitionEngine:
             if self._round_active and when < domain._ran_to:
                 # Ambient insert below a fence its target already
                 # drained past: the domain-partitioned contract was
-                # broken in a way batching cannot hide. Degrade the
-                # rest of the run to the exact-order merge (sticky --
-                # the missed window cannot be re-opened).
+                # broken in a way batching cannot hide. Turn batching
+                # off for the rest of the run (sticky -- the missed
+                # window cannot be re-opened).
                 self.batch_degrades += 1
                 self.batching = False
-
-    def schedule(self, event: Event, priority: int, delay: float) -> None:
-        """`Environment._schedule` under partitioning: route to current."""
-        if self._concurrent_live:
-            ctx = getattr(self._tls, "ctx", None)
-            if ctx is not None:
-                self._schedule_mt(ctx, event, priority, delay)
-                return
-        env = self.env
-        env._seq += 1
-        domain = self.current
-        if self._running and domain is self._run_domain:
-            # Inline of _insert's running-domain cases (wheel file or
-            # staged append, no bound/fence updates needed) -- the
-            # overwhelmingly common path while a window drains.
-            wheel = domain.wheel
-            if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                wheel.insert(env._now + delay, priority, env._seq, event,
-                             delay >= MIN_COARSE_DELAY)
-            else:
-                domain.staged.append(
-                    (env._now + delay, priority, env._seq, event))
-            return
-        self._insert(domain, env._now + delay, priority, env._seq,
-                     event, delay)
-
-    def _schedule_mt(self, ctx: _WindowCtx, event: Event, priority: int,
-                     delay: float) -> None:
-        """Schedule from inside a concurrently-dispatching window.
-
-        Seqs come from the window's disjoint block; time flows from the
-        window's own clock. Same-domain entries are staged (the domain
-        *is* running) or filed in its wheel -- both thread-private;
-        anything else goes to the outbox for the barrier.
-        """
-        ctx.seq += 1
-        seq = ctx.seq
-        if seq >= ctx.seq_end:
-            raise RuntimeError(
-                "concurrent window exhausted its sequence block")
-        domain = ctx.domain
-        when = domain._now + delay
-        target = ctx.current
-        if target is domain:
-            wheel = domain.wheel
-            if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                wheel.insert(when, priority, seq, event,
-                             delay >= MIN_COARSE_DELAY)
-            else:
-                domain.staged.append((when, priority, seq, event))
-            return
-        ctx.outbox.append((target, when, priority, seq, event, delay))
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """`Environment.timeout` under partitioning (freelist + route)."""
-        env = self.env
-        if self._concurrent_live and getattr(self._tls, "ctx", None) \
-                is not None:
-            # Concurrent window: the freelist is shared (racy); a fresh
-            # allocation routes through _schedule_mt via __init__.
-            return Timeout(env, delay, value)
-        pool = env._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            timer = pool.pop()
-            timer.delay = delay
-            timer.callbacks = []
-            timer._value = value
-            timer._ok = True
-            timer._defused = False
-            timer._cancelled = False
-            timer._cross = False
-            env._seq += 1
-            domain = self.current
-            if self._running and domain is self._run_domain:
-                # Same inline as schedule(): running-domain timers are
-                # the hottest insert in every experiment.
-                wheel = domain.wheel
-                if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                    wheel.insert(env._now + delay, NORMAL, env._seq,
-                                 timer, delay >= MIN_COARSE_DELAY)
-                else:
-                    domain.staged.append(
-                        (env._now + delay, NORMAL, env._seq, timer))
-            else:
-                self._insert(domain, env._now + delay, NORMAL, env._seq,
-                             timer, delay)
-            return timer
-        return Timeout(env, delay, value)
 
     def cross_timeout(self, dst: str, delay: float,
                       value: Any = None) -> Timeout:
@@ -733,10 +514,7 @@ class PartitionEngine:
         if target is None:
             raise ValueError(f"unknown domain {dst!r}; "
                              f"plan has {self.domain_names()}")
-        ctx = None
-        if self._concurrent_live:
-            ctx = getattr(self._tls, "ctx", None)
-        src = ctx.current if ctx is not None else self.current
+        src = self.current
         cross = target is not src
         if cross:
             window = self.plan.window(src.name, dst)
@@ -748,20 +526,11 @@ class PartitionEngine:
             self.cross_sends += 1
             if self.observatory is not None:
                 self.observatory.record_cross(src.name, dst)
-        if ctx is not None:
-            prev = ctx.current
-            ctx.current = target
-            try:
-                timer = Timeout(self.env, delay, value)
-            finally:
-                ctx.current = prev
-        else:
-            prev = self.current
-            self.current = target
-            try:
-                timer = self.timeout(delay, value)
-            finally:
-                self.current = prev
+        self.current = target
+        try:
+            timer = self.env.timeout(delay, value)
+        finally:
+            self.current = src
         if cross:
             # Commit rule: the receipt could observe sender-domain
             # state, so it must never dispatch inside a batched window.
@@ -1002,120 +771,6 @@ class PartitionEngine:
         finally:
             env.events_dispatched += dispatched
 
-    def _run_inner_unfenced(self, domain: Domain, stop_at: float) -> None:
-        """`_run_inner` when every other domain is empty: no fence.
-
-        The single-nonempty-queue fast path of the exact-order merge.
-        With the runner-up bound at :data:`_INF_KEY` no candidate can
-        ever reach it, so the per-event bound comparisons are dead
-        weight -- this loop drops them and instead watches for the
-        bound *object* changing (a cross-domain insert re-arming the
-        fence), handing back to the fenced merge the moment it does.
-        Dispatch order is identical to the fenced loop's
-        (``tests/test_partition.py`` pins it).
-        """
-        env = self.env
-        queue = domain.queue
-        staged = domain.staged
-        wheel = domain.wheel
-        pool = env._timeout_pool
-        pop = heappop
-        timeout_type = Timeout
-        rearm_type = RearmableTimer
-        timeline = env._timeline
-        tl_next = timeline._next_ns if timeline is not None else _INF
-        self._run_domain = domain
-        self.current = domain
-        dispatched = 0
-        try:
-            while True:
-                if self._bound is not _INF_KEY:
-                    # Another domain is live again (cross insert):
-                    # resume the fenced merge. Staged entries must be
-                    # promoted first or the outer _select never sees
-                    # them.
-                    if staged:
-                        self._flush_staged(domain)
-                    return
-                entry = None
-                if staged:
-                    cand = staged[0] if len(staged) == 1 else min(staged)
-                    if wheel is not None and wheel._next_start <= cand[0]:
-                        self._flush_staged(domain)
-                    elif queue and queue[0] < cand:
-                        self._flush_staged(domain)
-                    elif cand[0] > stop_at:
-                        self._flush_staged(domain)
-                        return
-                    else:
-                        if len(staged) == 1:
-                            del staged[:]
-                        else:
-                            staged.remove(cand)
-                        event = cand[3]
-                        if event._cancelled:
-                            if type(event) is timeout_type \
-                                    and len(pool) < _POOL_MAX:
-                                pool.append(event)
-                            elif type(event) is rearm_type:
-                                event._has_entry = False
-                            continue
-                        if type(event) is rearm_type \
-                                and event._rearm_seq != cand[2]:
-                            self._push_rearmed(domain, cand[0], cand[1],
-                                               event)
-                            continue
-                        entry = cand
-                if entry is None:
-                    if queue:
-                        head_time = queue[0][0]
-                        if (wheel is not None
-                                and wheel._next_start <= head_time):
-                            self._promote_domain(domain, stop_at)
-                            head_time = queue[0][0] if queue else _INF
-                        if head_time > stop_at:
-                            return
-                    else:
-                        if wheel is not None \
-                                and wheel._next_start <= stop_at:
-                            self._promote_domain(domain, stop_at)
-                        if not queue or queue[0][0] > stop_at:
-                            return
-                    cand = pop(queue)
-                    event = cand[3]
-                    if event._cancelled:
-                        if type(event) is timeout_type \
-                                and len(pool) < _POOL_MAX:
-                            pool.append(event)
-                        elif type(event) is rearm_type:
-                            event._has_entry = False
-                        continue
-                    if type(event) is rearm_type \
-                            and event._rearm_seq != cand[2]:
-                        self._push_rearmed(domain, cand[0], cand[1], event)
-                        continue
-                    entry = cand
-                if tl_next <= entry[0]:
-                    # Timeline boundary (every other domain empty, so
-                    # this domain's order *is* the global order).
-                    timeline._cross(entry[0])
-                    tl_next = timeline._next_ns
-                env._now = entry[0]
-                dispatched += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    # A failure nobody waited on: surface it.
-                    exc = event._value
-                    raise type(exc)(*exc.args) from exc
-                if type(event) is timeout_type and len(pool) < _POOL_MAX:
-                    pool.append(event)
-                elif type(event) is rearm_type:
-                    event._has_entry = False
-        finally:
-            env.events_dispatched += dispatched
-
     # -- window-batched dispatch -------------------------------------------
 
     def _run_window(self, domain: Domain, fence: float,
@@ -1237,173 +892,6 @@ class PartitionEngine:
                 domain._ran_to = drained_to
         return dispatched
 
-    def _run_window_mt(self, ctx: _WindowCtx, fence: float,
-                       stop_at: float) -> None:
-        """One window on a pool thread, concurrently with its siblings.
-
-        Shares no mutable environment state with other windows: time
-        goes to ``domain._now`` (``env.now`` resolves there through the
-        engine's thread-local), scheduling goes through
-        :meth:`_schedule_mt`, counters accumulate on the ctx, and the
-        freelist is bypassed. The fence is additionally capped at the
-        domain's next wheel-bucket start -- promotion mutates shared
-        counters, so concurrent windows leave it to the next round
-        barrier (single-threaded), at the cost of a shorter window.
-        """
-        domain = ctx.domain
-        queue = domain.queue
-        staged = domain.staged
-        wheel = domain.wheel
-        rearm_type = RearmableTimer
-        pop = heappop
-        if wheel is not None and wheel._count \
-                and wheel._next_start < fence:
-            fence = wheel._next_start
-        self._tls.ctx = ctx
-        dispatched = 0
-        drained_to = fence if fence <= stop_at else stop_at
-        try:
-            while True:
-                entry = None
-                if staged:
-                    cand = staged[0] if len(staged) == 1 else min(staged)
-                    if queue and queue[0] < cand:
-                        self._flush_staged_mt(ctx)
-                    elif cand[0] >= fence or cand[0] > stop_at:
-                        self._flush_staged_mt(ctx)
-                        break
-                    else:
-                        if len(staged) == 1:
-                            del staged[:]
-                        else:
-                            staged.remove(cand)
-                        event = cand[3]
-                        if event._cancelled:
-                            if type(event) is rearm_type:
-                                event._has_entry = False
-                            continue
-                        if type(event) is rearm_type \
-                                and event._rearm_seq != cand[2]:
-                            self._push_rearmed_mt(ctx, cand[0], cand[1],
-                                                  event)
-                            continue
-                        entry = cand
-                if entry is None:
-                    if not queue or queue[0][0] >= fence \
-                            or queue[0][0] > stop_at:
-                        break
-                    cand = queue[0]
-                    event = cand[3]
-                    if event._cancelled:
-                        pop(queue)
-                        if type(event) is rearm_type:
-                            event._has_entry = False
-                        continue
-                    if type(event) is rearm_type \
-                            and event._rearm_seq != cand[2]:
-                        pop(queue)
-                        self._push_rearmed_mt(ctx, cand[0], cand[1], event)
-                        continue
-                    if event._cross:
-                        drained_to = cand[0]
-                        break
-                    pop(queue)
-                    entry = cand
-                domain._now = entry[0]
-                dispatched += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    raise type(exc)(*exc.args) from exc
-                if type(event) is rearm_type:
-                    event._has_entry = False
-        finally:
-            ctx.dispatched = dispatched
-            self._tls.ctx = None
-            if drained_to > domain._ran_to:
-                domain._ran_to = drained_to
-
-    def _flush_staged_mt(self, ctx: _WindowCtx) -> None:
-        staged = ctx.domain.staged
-        if staged:
-            queue = ctx.domain.queue
-            for entry in staged:
-                heappush(queue, entry)
-            ctx.scheduled += len(staged)
-            del staged[:]
-
-    def _push_rearmed_mt(self, ctx: _WindowCtx, surfaced_at: float,
-                         priority: int, event: RearmableTimer) -> None:
-        fire_at = event._fire_at
-        wheel = ctx.domain.wheel
-        if wheel is not None and fire_at - surfaced_at >= MIN_WHEEL_DELAY:
-            wheel.insert(fire_at, priority, event._rearm_seq, event,
-                         fire_at - surfaced_at >= MIN_COARSE_DELAY)
-        else:
-            ctx.scheduled += 1
-            heappush(ctx.domain.queue,
-                     (fire_at, priority, event._rearm_seq, event))
-        event._entry_at = fire_at
-
-    def _run_round_threaded(self, runnable: List[Domain],
-                            fences: List[float], stop_at: float) -> int:
-        """Execute one round's windows through the thread pool."""
-        env = self.env
-        ex = _window_pool(len(self.domains))
-        if not self._concurrent or env.faults is not None:
-            # GIL build (or fault-injected run, whose injector RNG is
-            # shared state): serialized submission -- same plumbing and
-            # barrier, no data races, byte-identical to inline windows.
-            dispatched = 0
-            for domain in runnable:
-                dispatched += ex.submit(
-                    self._run_window, domain, fences[domain.index],
-                    stop_at).result()
-            return dispatched
-        base = env._seq
-        now0 = env._now
-        ctxs: List[_WindowCtx] = []
-        for k, domain in enumerate(runnable):
-            domain._now = now0
-            ctxs.append(_WindowCtx(domain, base + k * _SEQ_STRIDE,
-                                   base + (k + 1) * _SEQ_STRIDE))
-        env._seq = base + len(ctxs) * _SEQ_STRIDE
-        self._concurrent_live = True
-        errors: List[BaseException] = []
-        try:
-            futures = [ex.submit(self._run_window_mt, ctx,
-                                 fences[ctx.domain.index], stop_at)
-                       for ctx in ctxs]
-            for future in futures:   # the round barrier, in domain order
-                try:
-                    future.result()
-                except BaseException as exc:  # noqa: BLE001
-                    errors.append(exc)
-        finally:
-            self._concurrent_live = False
-        dispatched = 0
-        scheduled = 0
-        latest = env._now
-        for ctx in ctxs:
-            dispatched += ctx.dispatched
-            scheduled += ctx.scheduled
-            if ctx.dispatched and ctx.domain._now > latest:
-                latest = ctx.domain._now
-        env.events_dispatched += dispatched
-        env.events_scheduled += scheduled
-        env._now = latest
-        # Apply the outboxes single-threaded: cross-domain inserts made
-        # by the windows land in their target heaps (or wheels) here,
-        # under the seqs their windows allocated.
-        for ctx in ctxs:
-            for target, when, priority, seq, event, delay in ctx.outbox:
-                self._insert(target, when, priority, seq, event, delay)
-        if errors:
-            raise errors[0]
-        return dispatched
-
     def _dispatch_solo(self, stop_at: float) -> bool:
         """One exact-order merge step: dispatch the global minimum.
 
@@ -1449,8 +937,8 @@ class PartitionEngine:
         domain's cleaned head (exact heap entries, so cross marks are
         visible); (2) derive per-domain fences from the round-start
         heads -- a cross-marked head publishes *no* lookahead credit;
-        (3) drain every domain whose head is strictly below its fence
-        (inline, or through the thread pool); (4) if nothing could run,
+        (3) drain every domain whose head is strictly below its fence;
+        (4) if nothing could run,
         take one exact solo merge step for the global minimum. The
         barrier between rounds is the only cross-domain
         synchronization.
@@ -1462,7 +950,6 @@ class PartitionEngine:
         heads = [_INF] * n
         crossed = [False] * n
         fences = [0.0] * n
-        threaded = self.threaded
         max_now = env._now
         self._round_active = True
         try:
@@ -1515,14 +1002,10 @@ class PartitionEngine:
                     self.batch_solo += 1
                     self._dispatch_solo(stop_at)
                 else:
-                    if threaded and len(runnable) > 1:
-                        dispatched = self._run_round_threaded(
-                            runnable, fences, stop_at)
-                    else:
-                        dispatched = 0
-                        for domain in runnable:
-                            dispatched += self._run_window(
-                                domain, fences[domain.index], stop_at)
+                    dispatched = 0
+                    for domain in runnable:
+                        dispatched += self._run_window(
+                            domain, fences[domain.index], stop_at)
                     self.domain_switches += len(runnable)
                     self.windows_batched += len(runnable)
                     self.events_batched += dispatched
@@ -1540,7 +1023,13 @@ class PartitionEngine:
             self._round_active = False
 
     def run(self, until: Any, stop_at: float) -> Any:
-        """`Environment.run` under partitioning: merge across domains."""
+        """`Environment.run` under partitioning.
+
+        Batched rounds while batching holds; the exact merge for
+        telemetry, ``run(until=<event>)`` and profiled runs; otherwise
+        (batching off, before or during the run) the handoff to the
+        serial kernel.
+        """
         env = self.env
         if env._profile_hook is not None:
             # Profiled path: one select per event, per-event bookkeeping
@@ -1558,52 +1047,41 @@ class PartitionEngine:
             except StopSimulation as stop:
                 return stop.args[0]
             return env._finish_run(until, stop_at)
+        obs = self.observatory
+        exact = (obs is not None or env.telemetry is not None
+                 or isinstance(until, Event))
         self._running = True
         self._bound = _INF_KEY
-        obs = self.observatory
         try:
-            if (self.batching and obs is None
-                    and env.telemetry is None
-                    and not isinstance(until, Event)):
-                # Window-batched dispatch. Event-untils stay on the
-                # exact merge (the stop point is ordering-sensitive),
-                # as do telemetry-instrumented runs (span order is
-                # observable). Returns False on sticky degrade, and
-                # the exact merge below finishes the run.
-                if self._run_batched(stop_at):
+            if not exact:
+                # Window-batched dispatch; False on a sticky degrade,
+                # and the handoff below finishes the run.
+                if self.batching and self._run_batched(stop_at):
                     return env._finish_run(until, stop_at)
-            while True:
-                sel = self._select(stop_at)
-                if sel is None:
-                    break
-                domain, second, second_owner = sel
-                self._bound = second
-                self._bound_owner = second_owner
-                self.domain_switches += 1
-                if obs is None:
-                    if second is _INF_KEY:
-                        # Single-nonempty-queue fast path: no other
-                        # domain holds anything, so run unfenced.
-                        self.unfenced_windows += 1
-                        self._run_inner_unfenced(domain, stop_at)
-                    else:
-                        self._run_inner(domain, stop_at)
-                    if env._cancel_backlog >= _PURGE_BACKLOG:
-                        self._purge_cancelled()
-                    continue
-                self._stall_at = _INF
-                window_from = env._now
-                dispatched_before = env.events_dispatched
-                self._run_inner(domain, stop_at)
-                obs.record_window(
-                    domain.name, env._now - window_from,
-                    env.events_dispatched - dispatched_before)
-                owner = self._bound_owner
-                if self._stall_at < _INF and owner is not None:
-                    obs.record_stall(
-                        owner.name, domain.name, self._stall_at,
-                        self._bound[0],
-                        self.plan.window(owner.name, domain.name))
+            else:
+                while True:
+                    sel = self._select(stop_at)
+                    if sel is None:
+                        break
+                    domain, second, second_owner = sel
+                    self._bound = second
+                    self._bound_owner = second_owner
+                    self.domain_switches += 1
+                    self._stall_at = _INF
+                    window_from = env._now
+                    dispatched_before = env.events_dispatched
+                    self._run_inner(domain, stop_at)
+                    if obs is None:
+                        continue
+                    obs.record_window(
+                        domain.name, env._now - window_from,
+                        env.events_dispatched - dispatched_before)
+                    owner = self._bound_owner
+                    if self._stall_at < _INF and owner is not None:
+                        obs.record_stall(
+                            owner.name, domain.name, self._stall_at,
+                            self._bound[0],
+                            self.plan.window(owner.name, domain.name))
         except StopSimulation as stop:
             return stop.args[0]
         finally:
@@ -1616,7 +1094,37 @@ class PartitionEngine:
             for domain in self.domains:
                 if domain.staged:
                     self._flush_staged(domain)
-        return env._finish_run(until, stop_at)
+        if exact:
+            return env._finish_run(until, stop_at)
+        return self._hand_off(until)
+
+    def _hand_off(self, until: Any) -> Any:
+        """Finish the run on the serial kernel (batching is off).
+
+        Every other domain's heap and wheel entries move into the
+        first domain's -- which *are* the environment's own heap and
+        wheel -- under their original ``(time, priority, seq)`` keys
+        (``run`` already flushed the staged lists). With the hot-path
+        slot cleared, ``env.run`` takes the serial loop, which
+        dispatches in the exact merge's global order.
+        """
+        env = self.env
+        queue = env._queue
+        wheel = env._wheel
+        for domain in self.domains[1:]:
+            queue.extend(domain.queue)
+            domain.queue = []
+            parked = domain.wheel
+            if parked is not None and parked._count:
+                for buckets, coarse in ((parked._fine, False),
+                                        (parked._coarse, True)):
+                    for bucket in buckets.values():
+                        for entry in bucket:
+                            wheel.insert(*entry, coarse)
+                domain.wheel = TimerWheel()
+        heapify(queue)
+        env._partition = None
+        return env.run(until)
 
     def step(self) -> None:
         """`Environment.step` under partitioning: one global-min event."""

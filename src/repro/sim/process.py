@@ -91,13 +91,7 @@ class Process(Event):
         #: pinned here, so a process's timers stay in its own domain
         #: even when a cross-domain event wakes it.
         part = env._partition
-        if part is None:
-            self.domain = None
-        elif part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            self.domain = ctx.current if ctx is not None else part.current
-        else:
-            self.domain = part.current
+        self.domain = part.current if part is not None else None
         self._target: Optional[Event] = _Initialize(env, self)
 
     @property
@@ -118,18 +112,6 @@ class Process(Event):
         # Partitioned engine: pin ambient scheduling to the process's
         # home domain for the duration of the resume, whatever domain's
         # event woke it, then restore the dispatcher's routing target.
-        # Inside a concurrent window the routing target is the window's
-        # thread-local ctx, never the shared engine slot.
-        if part._concurrent_live:
-            ctx = getattr(part._tls, "ctx", None)
-            if ctx is not None:
-                prev = ctx.current
-                ctx.current = self.domain
-                try:
-                    self._resume_inner(env, event)
-                finally:
-                    ctx.current = prev
-                return
         prev = part.current
         part.current = self.domain
         try:

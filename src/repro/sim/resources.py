@@ -6,7 +6,7 @@ pops the item the moment it is called), so a store touched from two
 timing domains is ordering-sensitive in a way the window-batched
 engine cannot preserve event-by-event. Each primitive therefore tracks
 the domain that first touched it; the first touch from a *different*
-domain sticky-degrades the run to the exact-order merge (the
+domain sticky-degrades the run -- batching turns off (the
 shared-resource-wait arm of the commit rule -- see
 ``repro.sim.partition``). Single-domain stores, the common
 producer/consumer case, batch freely.
@@ -31,7 +31,7 @@ class _SharedGuard:
         part = self.env._partition
         if part is None or not part.batching:
             return
-        owner = part._ambient()
+        owner = part.current
         if self._domain is None:
             self._domain = owner
         elif owner is not self._domain:

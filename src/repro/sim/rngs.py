@@ -27,9 +27,9 @@ domain (the fault injector was the one offender) — goes through
 
 Conformance: ``tests/conformance/test_rng_streams.py`` replays
 generated programs whose dispatch log records every draw's
-``(stream name, value)`` across the serial, exact-merge,
-window-batched, and threaded engines and asserts the per-stream
-sequences are identical.
+``(stream name, value)`` across the serial, exact-merge and
+window-batched engines and asserts the per-stream sequences are
+identical.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 from repro.hw.params import HwParams
 from repro.hw.pcie import Interconnect
+from repro.obs import Telemetry
 from repro.sim import Environment, PartitionPlan
 
 #: Domain names every conformance program may use. Partitioned configs
@@ -82,54 +83,54 @@ def _no_partition_env():
     return env
 
 
+def merge_env(plan, use_wheel=None):
+    """A partitioned env that runs the exact-order merge.
+
+    The generated conformance programs share mutable state across
+    domains and assert raw dispatch-order identity against the serial
+    kernel -- the exact-order merge's contract. Window batching
+    deliberately relaxes same-time cross-domain order, and a run with
+    batching switched off is handed to the serial kernel, so the merge
+    is reached the way production reaches it: telemetry is attached
+    before the engine is installed. BATCHED_CONFIGS covers the batched
+    engine with order-insensitive (canonicalized) comparisons.
+    """
+    env = Environment(use_wheel=use_wheel)
+    Telemetry().attach(env)
+    # use_partition=True: must install even when the ambient
+    # REPRO_NO_PARTITION hatch is set (the CI engine matrix runs this
+    # suite under every hatch combination).
+    part = env.enable_partition(plan, use_partition=True)
+    assert part is not None and part.observatory is not None
+    assert not part.batching
+    return env
+
+
 def _partitioned(names, window, use_wheel=None):
-    def build():
-        env = Environment(use_wheel=use_wheel)
-        # use_partition=True: must install even when the ambient
-        # REPRO_NO_PARTITION hatch is set (the CI engine matrix runs
-        # this suite under every hatch combination).
-        installed = env.enable_partition(
-            PartitionPlan.uniform(names, window), use_partition=True)
-        assert installed is not None
-        # The generated conformance programs share mutable state across
-        # domains and assert raw dispatch-order identity against the
-        # serial kernel -- the exact-order merge's contract. Window
-        # batching deliberately relaxes same-time cross-domain order,
-        # so pin it off here; BATCHED_CONFIGS covers the batched engine
-        # with order-insensitive (canonicalized) comparisons.
-        installed.batching = False
-        installed.threaded = False
-        return env
-    return build
+    return lambda: merge_env(PartitionPlan.uniform(names, window),
+                             use_wheel=use_wheel)
 
 
 def _partitioned_hw():
     # The plan the Machine layer derives from Table 2 (asymmetric
     # per-pair windows, three domains).
-    env = Environment()
-    plan = Interconnect(HwParams.pcie()).partition_plan()
-    part = env.enable_partition(plan, use_partition=True)
-    assert part is not None
-    part.batching = False
-    part.threaded = False
-    return env
+    return merge_env(Interconnect(HwParams.pcie()).partition_plan())
 
 
-def _batched(names, window, use_wheel=None, threaded=False):
+def merge_windows(env) -> int:
+    """Exact-merge windows the env's observatory recorded (0 if none)."""
+    part = env.partition
+    if part is None or part.observatory is None:
+        return 0
+    return sum(part.observatory.windows.values())
+
+
+def _batched(names, window, use_wheel=None):
     def build():
         env = Environment(use_wheel=use_wheel)
         part = env.enable_partition(
             PartitionPlan.uniform(names, window), use_partition=True)
-        assert part is not None
-        # Force-enable so the batched path is exercised even when the
-        # CI matrix sets REPRO_NO_WINDOW_BATCH=1 for the exact configs.
-        part.batching = True
-        if threaded:
-            # REPRO_PARALLEL_DOMAINS=force semantics: concurrent
-            # windows even on a GIL build (contention, not speed --
-            # this config exists to pin determinism, not throughput).
-            part.threaded = True
-            part._concurrent = True
+        assert part is not None and part.batching
         return env
     return build
 
@@ -138,8 +139,7 @@ def _batched_hw():
     env = Environment()
     plan = Interconnect(HwParams.pcie()).partition_plan()
     part = env.enable_partition(plan, use_partition=True)
-    assert part is not None
-    part.batching = True
+    assert part is not None and part.batching
     return env
 
 
@@ -175,7 +175,4 @@ BATCHED_CONFIGS = [
     EngineConfig("partition-batched", _batched(DOMAINS, 400.0),
                  partitioned=True),
     EngineConfig("partition-batched-hw", _batched_hw, partitioned=True),
-    EngineConfig("partition-threaded",
-                 _batched(DOMAINS, 400.0, threaded=True),
-                 partitioned=True),
 ]

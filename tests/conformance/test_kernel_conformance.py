@@ -22,7 +22,8 @@ from repro.sim.wheel import (COARSE_GRAIN, FINE_GRAIN, MIN_COARSE_DELAY,
                              MIN_WHEEL_DELAY)
 
 from tests.conformance.engines import (DOMAINS, ENGINE_CONFIGS,
-                                       MIN_CROSS_DELAY, REFERENCE)
+                                       MIN_CROSS_DELAY, REFERENCE,
+                                       merge_windows)
 
 #: Delays straddling every routing class: inline/staged (< 4096),
 #: fine wheel, coarse wheel, and exact threshold values.
@@ -54,15 +55,17 @@ _op = st.one_of(
 _programs = st.lists(_op, min_size=1, max_size=50)
 
 
-def run_program(config, ops):
-    """Replay one generated program on ``config``'s engine.
+def run_program(config, ops, env=None):
+    """Replay one generated program on ``config``'s engine (on ``env``
+    when given, a fresh ``config.build()`` otherwise).
 
     Model structure (timers, polls, processes) is keyed by *canonical*
     domain tags so it is identical across configs; only the domain
     placement (``config.resolve``) differs -- and placement must never
     change observable behaviour.
     """
-    env = config.build()
+    if env is None:
+        env = config.build()
     log = []
     live = []
     polls = {}
@@ -184,7 +187,8 @@ def test_every_engine_dispatches_identically(ops):
 def test_smoke_program_is_nontrivial():
     """The fixed smoke program exercises every op kind and actually
     dispatches events on every engine (guards against the property
-    test passing vacuously on empty logs)."""
+    test passing vacuously on empty logs), and every partitioned config
+    really dispatches through the exact merge."""
     ops = [("timer", 200.0, 0), ("timer", 10_000.0, 2), ("cascade", 1.0, 2),
            ("poll", 200.0, 1, 4096.0), ("cross", 0, 2, 512.0),
            ("irq", 4096.0, 200.0), ("run", 3), ("cancel", 0),
@@ -194,4 +198,7 @@ def test_smoke_program_is_nontrivial():
     assert len(reference[0]) > 10
     assert reference[2] > 10  # events actually dispatched
     for config in ENGINE_CONFIGS[1:]:
-        assert run_program(config, ops) == reference, config.name
+        env = config.build()
+        assert run_program(config, ops, env) == reference, config.name
+        if config.partitioned:
+            assert merge_windows(env) > 0, config.name

@@ -10,17 +10,19 @@ every event records ``(tag, time, domain, draw)``:
 
 - **exact-order engines** (serial heap/wheel, exact-merge partition)
   must reproduce the reference *raw* log, byte for byte;
-- **window-batched engines** (:data:`BATCHED_CONFIGS`, including the
-  force-threaded config) may reorder same-time cross-domain ties, so
-  they are held to the *canonicalized* bar: the time-sorted log, the
-  per-stream draw sequences, and the dispatch count must all match the
-  serial reference exactly.
+- **window-batched engines** (:data:`BATCHED_CONFIGS`) may reorder
+  same-time cross-domain ties, so they are held to the *canonicalized*
+  bar: the time-sorted log, the per-stream draw sequences, and the
+  dispatch count must all match the serial reference exactly. (A
+  generated program that breaks the domain contract can still miss it;
+  the strict xfail below records one.)
 
 A failure here means some engine changed which events consult which
 stream, or the order a single domain's events run in -- precisely the
 classic PDES repeatability bug the named-stream scheme exists to kill.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.rngs import RngStreams
@@ -132,7 +134,7 @@ def _canonical(result):
 
 
 #: Property-test subset: one exact partition and one batched config
-#: (the full matrix, threaded included, runs in the smoke test below).
+#: (the full matrix runs in the smoke test below).
 _EXACT = [c for c in ENGINE_CONFIGS
           if c.name in ("wheel", "partition-3", "partition-hw")]
 _BATCHED = [c for c in BATCHED_CONFIGS if c.name == "partition-batched"]
@@ -152,6 +154,19 @@ def test_stream_draws_identical_across_engines(ops):
             f"order or the event set on {ops!r}")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the host driver's 1 ns draw into nic lands after nic drained past "
+    "it; batching degrades too late and two nic draws swap"))
+def test_batched_ambient_insert_below_lookahead_diverges():
+    """Records a program the property test above can generate and the
+    batched engine gets wrong: an ambient cross-domain insert below the
+    lookahead. Strict, so a fix (or the engine's deletion) shows up."""
+    ops = [("chain", 2, 200.0, 1), ("run", 2), ("draw", 2, 1.0)]
+    config = BATCHED_CONFIGS[0]
+    assert _canonical(run_program(config, ops)) \
+        == _canonical(run_program(REFERENCE, ops))
+
+
 #: A fixed program exercising every op kind, all three domains, and
 #: both cross directions -- the full-matrix smoke bar.
 _SMOKE = [("draw", 0, 200.0), ("chain", 1, 1.0, 3), ("cross", 0, 2, 512.0),
@@ -161,8 +176,8 @@ _SMOKE = [("draw", 0, 200.0), ("chain", 1, 1.0, 3), ("cross", 0, 2, 512.0),
 
 
 def test_smoke_program_full_matrix():
-    """Every shipped config -- serial, exact merge, batched, threaded --
-    agrees on the canonical log; exact-order configs also agree raw."""
+    """Every shipped config -- serial, exact merge, batched -- agrees on
+    the canonical log; exact-order configs also agree raw."""
     reference = run_program(REFERENCE, _SMOKE)
     log, drawn, dispatched = reference
     assert len(log) > 10  # the program actually drew

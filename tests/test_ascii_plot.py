@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.ascii_plot import render_curves
+from repro.obs.ascii import render_curves
 
 
 def test_empty_rejected():

@@ -26,9 +26,14 @@ became the Machine default, the golden digest doubles as the
 bottom run the same figure points with the engine forced off
 (``REPRO_NO_PARTITION``) and demand identical traces, aggregates, and
 telemetry digests -- while asserting the on-runs really partitioned.
+The window-batched default does *not* meet that bar everywhere: the
+strict xfail at the end records a Fig 4a Wave-16 point where it
+diverges from the serial kernel.
 """
 
 import hashlib
+
+import pytest
 
 from repro.core import Placement, WaveOpts
 from repro.obs import Telemetry, metrics_digest
@@ -114,21 +119,23 @@ def test_fig4a_point_identical_partition_on_vs_off(monkeypatch):
     """Full Fig 4a point equality: every aggregate in the result
     dataclass, the raw event trace, and the kernel's invariant counters
     must match between the exact-order partitioned merge and the serial
-    engine. (The window-batched default is held to the digest bar in
-    the companion test below: it may reorder same-time cross-domain
-    ties inside the lookahead credit band, which shifts poll-machinery
-    scheduling counts without touching any observable result.)"""
+    engine. Both sides run under a telemetry hub -- the way production
+    reaches the merge (an uninstrumented partitioned run batches, and
+    once batching is off hands the run to the serial kernel). The
+    window-batched default is held to the weaker result bar in the
+    companion test below."""
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
     on_counters = {}
-    on_result, on_trace = _run(seed=3, counters=on_counters)
+    with Telemetry():
+        on_result, on_trace = _run(seed=3, counters=on_counters)
     assert on_counters["partition_domains"] == 3
     assert on_counters["partition_switches"] > 0
     assert on_counters["partition_cross_sends"] > 0  # MSI-X really routed
 
     monkeypatch.setenv("REPRO_NO_PARTITION", "1")
     off_counters = {}
-    off_result, off_trace = _run(seed=3, counters=off_counters)
+    with Telemetry():
+        off_result, off_trace = _run(seed=3, counters=off_counters)
     assert off_counters["partition_domains"] == 0
 
     assert on_result == off_result
@@ -140,11 +147,11 @@ def test_fig4a_point_identical_partition_on_vs_off(monkeypatch):
 
 
 def test_fig4a_point_batched_matches_serial(monkeypatch):
-    """The window-batched default produces the same Fig 4a point:
-    aggregates and the request trace are byte-identical to the serial
-    engine even though in-flight scheduling may tie-reorder."""
+    """The window-batched default produces the same reduced Fig 4a
+    point: aggregates and the request trace match the serial engine
+    even though in-flight scheduling may tie-reorder. (Not a general
+    property -- see the strict xfail at the end of this file.)"""
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
     on_counters = {}
     on_result, on_trace = _run(seed=3, counters=on_counters)
     assert on_counters["partition_domains"] == 3
@@ -158,18 +165,20 @@ def test_fig4a_point_batched_matches_serial(monkeypatch):
 
 def test_fig5_point_identical_partition_on_vs_off(monkeypatch):
     """The Fig 5 vCPU-scheduling point -- a different model stack (VM
-    host, busy loops, tick machinery) -- is byte-identical too."""
+    host, busy loops, tick machinery) -- is byte-identical too, exact
+    merge (under telemetry) against serial."""
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
     on_counters = {}
-    on = run_vm_point(2, ticks=True, measure_ns=20_000_000,
-                      counters=on_counters)
+    with Telemetry():
+        on = run_vm_point(2, ticks=True, measure_ns=20_000_000,
+                          counters=on_counters)
     assert on_counters["partition_domains"] == 3
 
     monkeypatch.setenv("REPRO_NO_PARTITION", "1")
     off_counters = {}
-    off = run_vm_point(2, ticks=True, measure_ns=20_000_000,
-                       counters=off_counters)
+    with Telemetry():
+        off = run_vm_point(2, ticks=True, measure_ns=20_000_000,
+                           counters=off_counters)
     assert off_counters["partition_domains"] == 0
 
     assert on == off
@@ -181,7 +190,6 @@ def test_fig5_point_identical_partition_on_vs_off(monkeypatch):
 def test_fig5_point_batched_matches_serial(monkeypatch):
     """Window-batched default on the Fig 5 stack: result-identical."""
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
     on_counters = {}
     on = run_vm_point(2, ticks=True, measure_ns=20_000_000,
                       counters=on_counters)
@@ -206,3 +214,33 @@ def test_telemetry_digest_identical_partition_on_vs_off(monkeypatch):
             _run(seed=1)
         digests[engine] = metrics_digest(hub)
     assert digests["partitioned"] == digests["serial"]
+
+
+def _wave16_point(seed, counters=None):
+    """A short Fig 4a Wave-16 FIFO point (16 NIC-scheduled cores)."""
+    return run_sched_point(Placement.NIC, WaveOpts.full(), 16, FifoPolicy,
+                           RocksDbModel.fifo_mix, rate_per_sec=600_000.0,
+                           duration_ns=2_400_000.0, warmup_ns=480_000.0,
+                           seed=seed, counters=counters)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "window batching reorders same-time cross-domain events before it "
+    "degrades: dispatches 1,411 vs 1,412, GET p50 31,358 vs 31,323 ns"))
+def test_wave16_point_batched_matches_serial(monkeypatch):
+    """Records where the window-batched engine is *not* result-identical
+    to the serial kernel. At 2.4 ms it differs on 7 of seeds 0-59 (and
+    the benchmark's pinned fifo_nic inputs 11, 17 and 22 are its own
+    outputs). Strict: if the engines ever agree here, this fails and
+    the record must be revisited. Deleting the engine waits for a
+    benchmark change that re-pins those inputs from the serial
+    kernel."""
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    counters = {}
+    batched = _wave16_point(11, counters)
+    if counters["partition_domains"] != 3:
+        # Not an AssertionError, so it fails instead of counting as
+        # the expected divergence.
+        pytest.fail("the batched side did not run partitioned")
+    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
+    assert batched == _wave16_point(11)

@@ -57,19 +57,17 @@ def _stub_kernel(repeats=3):
 
 
 def _stub_partition(repeats=3):
-    # Shape of measure_partition()'s three-engine result; the real
-    # bench takes tens of seconds per engine, so history-plumbing tests
-    # stub it (the gate logic is still exercised on these values).
+    # Shape of measure_partition()'s two-engine result; the real bench
+    # takes tens of seconds per engine, so history-plumbing tests stub
+    # it (the gate logic is still exercised on these values).
     return {"events_per_sec": 5500, "serial_events_per_sec": 5000,
-            "exact_events_per_sec": 3700,
-            "speedup_vs_serial": 1.1, "exact_speedup_vs_serial": 0.74,
+            "speedup_vs_serial": 1.1,
             "events_dispatched": 900, "serial_events_dispatched": 900,
-            "exact_events_dispatched": 900,
             "events_logical": 1000, "events_scheduled": 1000,
             "domain_switches": 40, "cross_sends": 9,
             "windows_batched": 30, "events_batched": 800,
             "batch_solo": 5, "batch_degrades": 0,
-            "runs": [], "exact_runs": [], "serial_runs": []}
+            "runs": [], "serial_runs": []}
 
 
 def _stub_timeline(repeats=3):
@@ -135,6 +133,18 @@ def test_render_trend_table_and_plot():
     assert "pre-PR baseline pin: 90" in text
     assert "events/sec" in text  # the ascii plot rendered
     assert "wall s" in text
+
+
+def test_render_trend_tolerates_retired_keys():
+    """Entries recorded while the bench still timed the exact merge
+    carry a ``partition_exact_speedup`` key; they render, ignoring it."""
+    old = dict(trajectory.history_entry(_result(100), "t0"),
+               partition_speedup_vs_serial=1.07,
+               partition_exact_speedup=0.74)
+    text = trajectory.render_trend([old, trajectory.history_entry(
+        _result(110), "t1")])
+    assert "1.07x" in text
+    assert "0.74" not in text and "exact merge" not in text
 
 
 def test_render_trend_last_n():

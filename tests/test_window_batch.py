@@ -1,35 +1,35 @@
-"""Window-batched dispatch: engine counters, fallbacks, and hatches.
+"""Window-batched dispatch: engine counters, degrades, and the handoff.
 
 The conformance suites prove *what* the batched engine computes (the
 canonicalized-log bar in ``tests/conformance/test_rng_streams.py``);
-these tests pin *how* it runs: that windows really batch, that the
-single-nonempty-queue fast path really skips per-event fencing, that
+these tests pin *how* it runs: that windows really batch, that
 cancelled wheel entries really get bulk-purged, that shared-state
-touches really sticky-degrade, and that every env-var hatch resolves to
-the documented mode.
+touches really sticky-degrade, that a run with batching off is handed
+to the serial kernel with every pending entry intact, and that the
+runs which need the exact-order merge never are.
 """
 
-import sys
+from repro.obs import Telemetry
+from repro.sim import Environment, PartitionPlan, PollTimer, Store
+from repro.sim.events import RearmableTimer
+from repro.sim.partition import _PURGE_BACKLOG, PartitionEngine
 
-import pytest
-
-from repro.sim import Environment, PartitionPlan, Store
-from repro.sim.partition import _PURGE_BACKLOG
+from tests.conformance.engines import merge_env
 
 PLAN = PartitionPlan.uniform(("host", "ic", "nic"), 400.0)
 
 
-def _batched_env(monkeypatch, parallel=None):
+def _batched_env(monkeypatch, use_wheel=None):
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
-    if parallel is None:
-        monkeypatch.delenv("REPRO_PARALLEL_DOMAINS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_PARALLEL_DOMAINS", parallel)
-    env = Environment()
+    env = Environment(use_wheel=use_wheel)
     part = env.enable_partition(PLAN, use_partition=True)
     assert part is not None
     return env, part
+
+
+def _merge_env():
+    env = merge_env(PLAN)
+    return env, env.partition
 
 
 # -- batched dispatch really batches ----------------------------------------
@@ -50,26 +50,11 @@ def test_batched_run_uses_windows(monkeypatch):
     # Window batching still counts as domain activity for the
     # observability counters the exact merge feeds.
     assert part.domain_switches >= part.windows_batched
-
-
-def test_no_window_batch_hatch_pins_exact_merge(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
-    assert not part.batching
-    assert not part.threaded
-    with env.domain("nic"):
-        env.timeout(50.0)
-    env.run(until=100.0)
-    assert part.windows_batched == 0
-    assert part.events_batched == 0
+    assert env._partition is part  # never degraded: no handoff
 
 
 def test_telemetry_pins_exact_merge(monkeypatch):
     """Span ordering is observable, so instrumented runs stay exact."""
-    from repro.obs import Telemetry
-    monkeypatch.delenv("REPRO_NO_WINDOW_BATCH", raising=False)
     with Telemetry():
         env = Environment()
         part = env.enable_partition(PLAN, use_partition=True)
@@ -81,8 +66,8 @@ def test_telemetry_pins_exact_merge(monkeypatch):
 def test_shared_store_touch_sticky_degrades(monkeypatch):
     """A Store touched from two domains computes its results at *call*
     time, which the window contract cannot fence event-by-event -- the
-    first second-domain touch must degrade the rest of the run to the
-    exact-order merge."""
+    first second-domain touch must turn batching off for the rest of
+    the run, which then finishes on the serial kernel."""
     env, part = _batched_env(monkeypatch)
     store = Store(env)
 
@@ -101,8 +86,9 @@ def test_shared_store_touch_sticky_degrades(monkeypatch):
     with env.domain("nic"):
         env.process(consumer())
     env.run(until=100_000.0)
-    assert not part.batching  # sticky: stays exact for the run's rest
-    assert not part.threaded
+    assert not part.batching  # sticky: stays off for the run's rest
+    assert env._partition is None  # handed to the serial kernel
+    assert env.partition is part
 
 
 def test_single_domain_store_keeps_batching(monkeypatch):
@@ -129,15 +115,163 @@ def test_single_domain_store_keeps_batching(monkeypatch):
     assert part.batch_degrades == 0
 
 
-# -- satellite: unfenced fast path ------------------------------------------
+# -- the handoff to the serial kernel ---------------------------------------
 
-def test_unfenced_fast_path_when_one_queue_nonempty(monkeypatch):
-    """Exact merge with a single populated domain: the whole run takes
-    the no-fence path, and dispatch order is the plain serial order."""
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
+def _degrading_program(env, probe=None):
+    """Batched windows, then a sticky degrade mid-run at t=2000 in the
+    NIC domain, with work parked in every place the handoff must move:
+
+    - the NIC heap (a timer at 3200 scheduled before the run);
+    - the NIC staged list (timers the degrading callback schedules at
+      or past its window's fence, 3000 and 3500);
+    - a NIC coarse wheel bucket (200 us out);
+    - a stale heap entry in the *ic* domain (3000) of a poll timer the
+      NIC callback re-arms in place to fire at 6000. A live ic timer
+      at 2600 keeps that stale entry off the ic heap's head, so no
+      round cleans it before the handoff.
+
+    ``probe(name, timer)`` sees each parked timer. Returns the dispatch
+    log, ``env._seq`` and ``events_dispatched``.
+    """
+    log = []
+    store = Store(env)
+    probe = probe or (lambda name, timer: None)
+
+    def note(tag):
+        return lambda ev: log.append((tag, env.now))
+
+    with env.domain("ic"):
+        poll = PollTimer(env)
+        stale = poll.arm(3_000.0)
+        env.timeout(2_600.0).callbacks.append(note("ic-live"))
+    del stale.callbacks[:]
+    stale.cancel()
+    probe("stale", stale)
+
+    def host():
+        yield env.timeout(1_000.0)
+        yield store.put("host")  # the store's first (owning) domain
+        while True:
+            yield env.timeout(10_000.0)
+            log.append(("host-beat", env.now))
+
+    def degrade(ev):
+        store.put("nic")  # second domain: batching off for good
+        for delay in (1_000.0, 1_500.0):
+            timer = env.timeout(delay)
+            timer.callbacks.append(note(f"staged+{delay:.0f}"))
+            probe("staged", timer)
+        coarse = env.timeout(200_000.0)
+        coarse.callbacks.append(note("coarse"))
+        probe("coarse", coarse)
+        again = poll.arm(4_000.0)  # in place: the ic entry goes stale
+        assert again is stale
+        again.callbacks.append(note("poll"))
+
+    def nic_chain():
+        for _ in range(4):
+            yield env.timeout(3_700.0)
+            log.append(("nic-chain", env.now))
+
+    env.process(host())
+    with env.domain("nic"):
+        trigger = env.timeout(2_000.0)
+        heap = env.timeout(3_200.0)
+        env.process(nic_chain())
+    trigger.callbacks.append(degrade)
+    heap.callbacks.append(note("heap"))
+    probe("heap", heap)
+    env.run(until=300_000.0)
+    return log, env._seq, env.events_dispatched
+
+
+def test_degraded_run_hands_off_with_every_entry(monkeypatch):
+    # Wheels on whatever REPRO_NO_TIMER_WHEEL says: the coarse bucket
+    # is one of the places the handoff must empty.
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
+    serial = _degrading_program(Environment(use_wheel=True))
+
+    env, part = _batched_env(monkeypatch, use_wheel=True)
+    parked = {}
+    staged_at_degrade = []
+
+    def probe(name, timer):
+        parked.setdefault(name, []).append(timer)
+        if name == "staged":
+            nic = part._by_name["nic"]
+            staged_at_degrade.append(
+                any(entry[3] is timer for entry in nic.staged))
+
+    where = {}
+    real_hand_off = PartitionEngine._hand_off
+
+    def spy(self, until):
+        # Where the parked entries sit the moment the handoff starts.
+        nic, ic = self._by_name["nic"], self._by_name["ic"]
+        heap_events = [entry[3] for entry in nic.queue]
+        coarse_events = [entry[3] for bucket in nic.wheel._coarse.values()
+                         for entry in bucket]
+        where["nic_heap"] = all(t in heap_events
+                                for t in parked["heap"] + parked["staged"])
+        where["nic_coarse"] = parked["coarse"][0] in coarse_events
+        where["ic_stale"] = any(
+            entry[3] is parked["stale"][0]
+            and type(entry[3]) is RearmableTimer
+            and entry[3]._rearm_seq != entry[2] for entry in ic.queue)
+        return real_hand_off(self, until)
+
+    monkeypatch.setattr(PartitionEngine, "_hand_off", spy)
+    got = _degrading_program(env, probe)
+
+    assert part.windows_batched > 0  # batched windows ran first
+    assert part.batch_degrades == 1  # the degrade came mid-run
+    assert staged_at_degrade == [True, True]
+    assert where == {"nic_heap": True, "nic_coarse": True, "ic_stale": True}
+    assert env._partition is None
+    assert env.partition is part
+    log = got[0]
+    assert ("poll", 6_000.0) in log and ("coarse", 202_000.0) in log
+    assert got == serial
+
+
+def test_telemetry_run_never_hands_off():
+    env, part = _merge_env()
+    store = Store(env)
+    with env.domain("host"):
+        store.put(1)
+    with env.domain("nic"):
+        store.put(2)  # would degrade a batched run; the merge ignores it
+        env.timeout(5_000.0)
+    env.run(until=10_000.0)
+    assert env._partition is part
+    assert sum(part.observatory.windows.values()) > 0
+
+
+def test_event_until_never_hands_off(monkeypatch):
+    """``run(until=<event>)`` stops at an ordering-sensitive point, so a
+    run with batching off stays on the exact merge."""
+    env, part = _batched_env(monkeypatch)
+    part.batching = False
+    fired = []
+    with env.domain("nic"):
+        stop = env.timeout(3_000.0, value="stop")
+        later = env.timeout(5_000.0)
+    with env.domain("host"):
+        early = env.timeout(1_000.0)
+    early.callbacks.append(lambda ev: fired.append(("host", env.now)))
+    later.callbacks.append(lambda ev: fired.append(("nic", env.now)))
+    assert env.run(until=stop) == "stop"
+    assert env._partition is part
+    assert fired == [("host", 1_000.0)]
+    assert part.domain_switches > 0  # the merge dispatched
+
+
+# -- the exact merge under telemetry -----------------------------------------
+
+def test_merge_single_queue_dispatch_order():
+    """Exact merge with a single populated domain: dispatch order is the
+    plain serial order, and each merge window is recorded."""
+    env, part = _merge_env()
     fired = []
     with env.domain("nic"):
         for delay in (300.0, 100.0, 200.0, 100.0):
@@ -147,17 +281,15 @@ def test_unfenced_fast_path_when_one_queue_nonempty(monkeypatch):
     env.run(until=1_000.0)
     assert fired == [(100.0, 100.0), (100.0, 100.0),
                      (200.0, 200.0), (300.0, 300.0)]
-    assert part.unfenced_windows > 0
+    assert part.observatory.events["nic"] == 4
+    assert env._partition is part
 
 
-def test_unfenced_path_closes_on_cross_insert(monkeypatch):
-    """The fast path's one exit hazard: an event that seeds another
-    domain mid-window must hand control back to the fenced merge --
-    the seeded event must not be dispatched late or lost."""
-    monkeypatch.setenv("REPRO_NO_WINDOW_BATCH", "1")
-    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment()
-    part = env.enable_partition(PLAN, use_partition=True)
+def test_merge_closes_window_on_cross_insert():
+    """An event that seeds another domain mid-window must hand control
+    back to the merge's select -- the seeded event must not be
+    dispatched late or lost."""
+    env, part = _merge_env()
     fired = []
 
     def seeder(ev):
@@ -171,7 +303,8 @@ def test_unfenced_path_closes_on_cross_insert(monkeypatch):
     late.callbacks.append(lambda ev: fired.append(("nic", env.now)))
     env.run(until=100_000.0)
     assert fired == [("host", 2_100.0), ("nic", 50_000.0)]
-    assert part.unfenced_windows > 0
+    assert part.observatory.windows["host"] > 0
+    assert part.observatory.traffic == {("nic", "host"): 1}
 
 
 # -- satellite: cancelled-entry bulk purge ----------------------------------
@@ -180,7 +313,7 @@ def test_window_close_purges_cancelled_wheel_entries(monkeypatch):
     """Cancelling a backlog of far wheel timers triggers the bulk
     purge: entries leave the wheels without ever reaching a heap, and
     the environment counts them."""
-    env, part = _batched_env(monkeypatch)
+    env, part = _batched_env(monkeypatch, use_wheel=True)
     timers = []
     with env.domain("nic"):
         for i in range(_PURGE_BACKLOG + 8):
@@ -210,65 +343,3 @@ def test_serial_env_counts_purges_too(monkeypatch):
     t.cancel()
     env.run(until=1_000_000.0)
     assert env._wheel.dropped_cancelled == 1
-
-
-# -- env-var mode resolution -------------------------------------------------
-
-@pytest.mark.parametrize("value,threaded", [
-    ("0", False), ("off", False), ("no", False), ("false", False),
-    ("1", True), ("yes", True), ("force", True),
-])
-def test_parallel_domains_mode_resolution(monkeypatch, value, threaded):
-    env, part = _batched_env(monkeypatch, parallel=value)
-    assert part.threaded is threaded
-    if value == "force":
-        assert part._concurrent  # force: threads even on a GIL build
-    elif threaded:
-        # Truthy-but-not-force: concurrent only when free-threaded.
-        gil = getattr(sys, "_is_gil_enabled", lambda: True)()
-        assert part._concurrent is (not gil)
-
-
-def test_parallel_domains_auto_matches_build(monkeypatch):
-    env, part = _batched_env(monkeypatch, parallel="auto")
-    gil = getattr(sys, "_is_gil_enabled", lambda: True)()
-    assert part.threaded is (not gil)
-    assert part._concurrent is (not gil)
-
-
-def test_forced_threaded_run_matches_serial(monkeypatch):
-    """REPRO_PARALLEL_DOMAINS=force on this (likely GIL) build: the
-    concurrent window path must still produce the serial timeline.
-
-    The log is shared across domains, so the comparison is the batched
-    contract's canonical (time-sorted) bar -- raw append order may
-    interleave windows ahead of global time inside the credit band."""
-
-    def workload(env):
-        fired = []
-        for name, base in (("host", 100.0), ("ic", 700.0), ("nic", 1300.0)):
-            with env.domain(name) if env.partition else _noop():
-                for k in range(40):
-                    t = env.timeout(base + 977.0 * k)
-                    t.callbacks.append(
-                        lambda ev, n=name: fired.append((n, env.now)))
-        env.run(until=200_000.0)
-        return fired
-
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _noop():
-        yield
-
-    env, part = _batched_env(monkeypatch, parallel="force")
-    assert part.threaded and part._concurrent
-    got = workload(env)
-
-    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
-    serial = Environment()
-    assert serial.partition is None
-    want = workload(serial)
-    assert sorted(got, key=lambda e: (e[1], e[0])) \
-        == sorted(want, key=lambda e: (e[1], e[0]))
-    assert part.batch_degrades == 0
