@@ -40,12 +40,8 @@ class GhostKernel:
     def __init__(self, channel: WaveChannel, core_ids: List[int],
                  costs: Optional[SchedCosts] = None,
                  rng: Optional[random.Random] = None,
-                 record_switch_overhead: bool = False,
-                 tracer=None):
+                 record_switch_overhead: bool = False):
         self.channel = channel
-        #: Optional :class:`repro.sim.trace.Tracer` receiving protocol
-        #: edge events (submit/run/complete/preempt/park).
-        self.tracer = tracer
         self.env = channel.env
         self.core_ids = list(core_ids)
         self.costs = (costs or SchedCosts()).jittered(rng)
@@ -84,8 +80,6 @@ class GhostKernel:
         the kernel wakeup path plus the TASK_NEW message send)."""
         task.created_at = self.env.now
         self._live_tasks[task.tid] = task
-        if self.tracer:
-            self.tracer.record("task_submit", tid=task.tid)
         tel = getattr(self.env, "telemetry", None)
         message = Message(TASK_NEW, task)
         if tel is not None:
@@ -178,8 +172,6 @@ class GhostKernel:
                 # backing off exponentially the longer we stay idle
                 # (mirrors progressively deeper idle states; the MSI-X
                 # wakeup path is unaffected).
-                if self.tracer:
-                    self.tracer.record("core_park", core=core)
                 self._phase[core] = _WAITING
                 event = env.event()
                 self._wait_events[core] = event
@@ -220,8 +212,6 @@ class GhostKernel:
 
             # ---- run ----
             task.state = TaskState.RUNNING
-            if self.tracer:
-                self.tracer.record("task_run", tid=task.tid, core=core)
             if task.first_run_at is None:
                 task.first_run_at = env.now
                 if tel is not None:
@@ -249,10 +239,6 @@ class GhostKernel:
                 task.preemptions += 1
                 task.state = TaskState.RUNNABLE
                 self.preempted += 1
-                if self.tracer:
-                    self.tracer.record("task_preempt", tid=task.tid,
-                                       core=core,
-                                       remaining=task.remaining_ns)
                 if tel is not None:
                     tel.end(run_span, preempted=True)
                     tel.count("sched_tasks", event="preempt")
@@ -273,9 +259,6 @@ class GhostKernel:
             task.state = TaskState.DEAD
             task.remaining_ns = 0.0
             task.completed_at = env.now
-            if self.tracer:
-                self.tracer.record("task_complete", tid=task.tid,
-                                   core=core)
             if tel is not None:
                 tel.end(run_span)
                 tel.count("sched_tasks", event="complete")

@@ -29,6 +29,7 @@ path is flagged ``partial``, and no lookup ever raises.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.spans import Span, Telemetry
@@ -57,12 +58,6 @@ def layer_of(span: Span) -> str:
     if stage.startswith("fault."):
         return "fault"
     return "other"
-
-
-def _end_key(span: Span) -> Tuple[float, int]:
-    """Deterministic ordering key: completion time, then record order."""
-    end = span.end_ns if span.end_ns is not None else span.begin_ns
-    return (end, span.span_id or 0)
 
 
 class RequestTrace:
@@ -106,50 +101,57 @@ class CausalGraph:
         self.requests: Dict[int, List[Span]] = {}
         self.truncated = 0
         self._partial_reqs = set()
-        for span in run.spans:
-            if span.span_id is None:
-                continue
-            self.by_id[span.span_id] = span
+        #: Each request's ``sched.queue`` intervals, in record order.
+        self._queued: Dict[int, List[Tuple[float, float]]] = {}
+        by_id = self.by_id
+        children = self.children
+        # One pass in record order. A predecessor is normally recorded
+        # before its successor; a reference to a span not indexed yet
+        # is settled after the pass, so a later span can still satisfy
+        # it.
+        pending: List[Tuple[int, Span]] = []
         for span in run.spans:
             sid = span.span_id
             if sid is None:
                 continue
-            if span.req is not None:
-                self.requests.setdefault(span.req, []).append(span)
-            preds = []
-            if span.parent_id is not None:
-                preds.append(span.parent_id)
-            if span.links:
-                preds.extend(span.links)
-            for pred in preds:
-                if pred in self.by_id:
-                    self.children.setdefault(pred, []).append(sid)
+            by_id[sid] = span
+            req = span.req
+            if req is not None:
+                self.requests.setdefault(req, []).append(span)
+                if span.stage == "sched.queue":
+                    end = span.end_ns
+                    self._queued.setdefault(req, []).append(
+                        (span.begin_ns,
+                         end if end is not None else span.begin_ns))
+            parent = span.parent_id
+            if parent is not None:
+                if parent in by_id:
+                    children.setdefault(parent, []).append(sid)
                 else:
-                    self.truncated += 1
-                    if span.req is not None:
-                        self._partial_reqs.add(span.req)
+                    pending.append((parent, span))
+            if span.links:
+                for link in span.links:
+                    if link in by_id:
+                        children.setdefault(link, []).append(sid)
+                    else:
+                        pending.append((link, span))
+        for pred, span in pending:
+            if pred in by_id:
+                children.setdefault(pred, []).append(span.span_id)
+            else:
+                self.truncated += 1
+                if span.req is not None:
+                    self._partial_reqs.add(span.req)
 
     def request_ids(self) -> List[int]:
         return sorted(self.requests)
-
-    def _predecessors(self, span: Span) -> List[Span]:
-        preds = []
-        if span.parent_id is not None:
-            pred = self.by_id.get(span.parent_id)
-            if pred is not None:
-                preds.append(pred)
-        if span.links:
-            for link in span.links:
-                pred = self.by_id.get(link)
-                if pred is not None:
-                    preds.append(pred)
-        return preds
 
     def trace(self, req: int) -> Optional[RequestTrace]:
         """Reconstruct one request's critical path and blame."""
         spans = self.requests.get(req)
         if not spans:
             return None
+        by_id = self.by_id
         partial = req in self._partial_reqs
         # Root: the earliest span of the request with no surviving
         # parent (the minted root, or the surviving suffix head after
@@ -157,7 +159,7 @@ class CausalGraph:
         root = None
         for span in spans:
             if (span.parent_id is None
-                    or span.parent_id not in self.by_id):
+                    or span.parent_id not in by_id):
                 root = span
                 break
         if root is None:
@@ -169,6 +171,7 @@ class CausalGraph:
         # choice: a batch span may link spans of *other* requests into
         # its subtree, so the terminal must both carry this request id
         # and be causally downstream of this root.
+        children = self.children
         reachable = set()
         stack = [root.span_id]
         while stack:
@@ -176,44 +179,69 @@ class CausalGraph:
             if sid in reachable:
                 continue
             reachable.add(sid)
-            stack.extend(self.children.get(sid, ()))
-        candidates = [s for s in spans if s.span_id in reachable]
-        if not candidates:
-            candidates = spans
-            partial = True
-        terminal = max(candidates, key=_end_key)
+            stack.extend(children.get(sid, ()))
+        # The terminal is the reachable span that finished last (ties:
+        # the later-recorded one). The root itself is reachable, so
+        # there always is one.
+        terminal = None
+        best_end = best_sid = None
+        for span in spans:
+            sid = span.span_id
+            if sid not in reachable:
+                continue
+            end = span.end_ns
+            if end is None:
+                end = span.begin_ns
+            if (terminal is None or end > best_end
+                    or (end == best_end and sid > best_sid)):
+                terminal, best_end, best_sid = span, end, sid
         # Walk back from the terminal, always via the predecessor that
-        # finished last (the binding dependency) -- but only through
-        # spans reachable from this request's root: batch spans fan in
-        # edges from *other* requests' chains, and following those
-        # would splice a stranger's history into this path.
+        # finished last (the binding dependency; ties again go to the
+        # later-recorded span) -- but only through spans reachable from
+        # this request's root: batch spans fan in edges from *other*
+        # requests' chains, and following those would splice a
+        # stranger's history into this path.
         path = [terminal]
         seen = {terminal.span_id}
         cursor = terminal
         while True:
-            if (cursor.parent_id is not None
-                    and cursor.parent_id not in self.by_id):
-                partial = True
+            best = None
+            parent = cursor.parent_id
+            if parent is not None:
+                pred = by_id.get(parent)
+                if pred is None:
+                    partial = True
+                elif parent not in seen and parent in reachable:
+                    best, best_sid = pred, parent
+                    best_end = pred.end_ns
+                    if best_end is None:
+                        best_end = pred.begin_ns
             if cursor.links:
                 for link in cursor.links:
-                    if link not in self.by_id:
+                    pred = by_id.get(link)
+                    if pred is None:
                         partial = True
-            preds = [p for p in self._predecessors(cursor)
-                     if p.span_id not in seen and p.span_id in reachable]
-            if not preds:
+                        continue
+                    if link in seen or link not in reachable:
+                        continue
+                    end = pred.end_ns
+                    if end is None:
+                        end = pred.begin_ns
+                    if (best is None or end > best_end
+                            or (end == best_end and link > best_sid)):
+                        best, best_end, best_sid = pred, end, link
+            if best is None:
                 break
-            cursor = max(preds, key=_end_key)
-            seen.add(cursor.span_id)
-            path.append(cursor)
+            cursor = best
+            seen.add(best_sid)
+            path.append(best)
         path.reverse()
         end = terminal.end_ns if terminal.end_ns is not None \
             else terminal.begin_ns
         latency = max(0.0, end - path[0].begin_ns)
-        queued = [(s.begin_ns,
-                   s.end_ns if s.end_ns is not None else s.begin_ns)
-                  for s in spans if s.stage == "sched.queue"]
         return RequestTrace(self.run.label, req, path, latency,
-                            _blame_of(path, queued), partial)
+                            _blame_of(path, self._queued.get(req)),
+                            partial)
 
     def traces(self) -> List[RequestTrace]:
         out = []
@@ -238,27 +266,24 @@ def _blame_of(path: List[Span],
     decision and is charged to ``sched-policy``.
     """
     blame: Dict[str, float] = {}
-
-    def charge_gap(a: float, b: float) -> None:
-        remaining = b - a
-        if queued:
-            covered = 0.0
-            for qb, qe in queued:
-                covered += max(0.0, min(b, qe) - max(a, qb))
-            covered = min(covered, remaining)
-            if covered:
-                blame["sched-policy"] = (blame.get("sched-policy", 0.0)
-                                         + covered)
-                remaining -= covered
-        if remaining:
-            blame["wait"] = blame.get("wait", 0.0) + remaining
-
     cursor = path[0].begin_ns
     for span in path:
-        end = span.end_ns if span.end_ns is not None else span.begin_ns
-        if span.begin_ns > cursor:
-            charge_gap(cursor, span.begin_ns)
-            cursor = span.begin_ns
+        begin = span.begin_ns
+        end = span.end_ns if span.end_ns is not None else begin
+        if begin > cursor:
+            remaining = begin - cursor
+            if queued:
+                covered = 0.0
+                for qb, qe in queued:
+                    covered += max(0.0, min(begin, qe) - max(cursor, qb))
+                covered = min(covered, remaining)
+                if covered:
+                    blame["sched-policy"] = (blame.get("sched-policy", 0.0)
+                                             + covered)
+                    remaining -= covered
+            if remaining:
+                blame["wait"] = blame.get("wait", 0.0) + remaining
+            cursor = begin
         if end > cursor:
             layer = layer_of(span)
             blame[layer] = blame.get(layer, 0.0) + (end - cursor)
@@ -268,34 +293,63 @@ def _blame_of(path: List[Span],
 
 def request_traces(telemetry: Telemetry) -> Tuple[List[RequestTrace], int]:
     """Every run's request traces (run order, then request id), plus
-    the total count of truncated edge references."""
+    the total count of truncated edge references.
+
+    Each run's causal pass is memoized on the run (see
+    :func:`_run_traces`), so every report rendered from one hub shares
+    it. The returned list is fresh; the traces in it are shared and
+    must be treated as read-only.
+    """
     traces: List[RequestTrace] = []
     truncated = 0
     for run in telemetry.runs:
-        graph = CausalGraph(run)
-        truncated += graph.truncated
-        traces.extend(graph.traces())
+        run_truncated, run_traces = _run_traces(run)
+        truncated += run_truncated
+        traces.extend(run_traces)
     return traces, truncated
 
 
+def _run_traces(run) -> Tuple[int, List[RequestTrace]]:
+    """One run's ``(truncated, traces)``, recomputed only when a span
+    was recorded or closed, or the run relabelled, since the last pass.
+
+    The memo lives on the run object only: shards carry the span log
+    and metrics, never the run, so it is never pickled, and nothing
+    digests or exports it.
+    """
+    key = (run.spans.recorded, run.label)
+    memo = run._causal
+    if memo is None or memo[0] != key:
+        graph = CausalGraph(run)
+        memo = run._causal = (key, graph.truncated, graph.traces())
+    return memo[1], memo[2]
+
+
+#: Sort key for representatives: end-to-end latency, ties broken by run
+#: label + request id.
+_by_latency = operator.attrgetter("latency_ns", "run_label", "req")
+
+
+def _rank(n: int, q: float) -> int:
+    """Index of the exact nearest-rank ``q`` percentile among ``n``
+    sorted values (no interpolation: byte-stable)."""
+    return min(max(0, math.ceil(q / 100.0 * n) - 1), n - 1)
+
+
 def _pct(sorted_values: List[float], q: float) -> float:
-    """Exact nearest-rank percentile (no interpolation: byte-stable)."""
+    """Exact nearest-rank percentile of sorted values (0.0 if none)."""
     if not sorted_values:
         return 0.0
-    rank = max(0, math.ceil(q / 100.0 * len(sorted_values)) - 1)
-    return sorted_values[min(rank, len(sorted_values) - 1)]
+    return sorted_values[_rank(len(sorted_values), q)]
 
 
 def _representative(traces: List[RequestTrace],
                     q: float) -> Optional[RequestTrace]:
     """The request sitting at the nearest-rank ``q`` percentile of
-    end-to-end latency (ties broken by run order + request id)."""
+    end-to-end latency."""
     if not traces:
         return None
-    ordered = sorted(traces, key=lambda t: (t.latency_ns, t.run_label,
-                                            t.req))
-    rank = max(0, math.ceil(q / 100.0 * len(ordered)) - 1)
-    return ordered[min(rank, len(ordered) - 1)]
+    return sorted(traces, key=_by_latency)[_rank(len(traces), q)]
 
 
 def blame_table(telemetry: Telemetry):
@@ -310,23 +364,21 @@ def blame_table(telemetry: Telemetry):
     traces, truncated = request_traces(telemetry)
     if not traces:
         return [], traces, truncated
-    reps = {q: _representative(traces, q) for q in (50.0, 95.0, 99.0)}
-    total_mean = 0.0
+    n = len(traces)
+    ordered = sorted(traces, key=_by_latency)
+    p50, p95, p99 = [ordered[_rank(n, q)].blame for q in (50.0, 95.0, 99.0)]
     sums: Dict[str, float] = {}
     for trace in traces:
-        total_mean += trace.latency_ns
         for layer, ns in trace.blame.items():
             sums[layer] = sums.get(layer, 0.0) + ns
-    n = len(traces)
     grand = sum(sums.values()) or 1.0
     rows = []
     layers = [layer for layer in LAYERS if layer in sums]
     layers += sorted(set(sums) - set(LAYERS))
     for layer in layers:
         rows.append((layer, sums[layer] / n, sums[layer] / grand,
-                     reps[50.0].blame.get(layer, 0.0),
-                     reps[95.0].blame.get(layer, 0.0),
-                     reps[99.0].blame.get(layer, 0.0)))
+                     p50.get(layer, 0.0), p95.get(layer, 0.0),
+                     p99.get(layer, 0.0)))
     return rows, traces, truncated
 
 
@@ -337,15 +389,18 @@ def _fmt_us(ns: float) -> str:
     return f"{ns / 1e3:.2f}"
 
 
-def causal_section(telemetry: Telemetry) -> List[str]:
+def causal_section(telemetry: Telemetry, table=None) -> List[str]:
     """Markdown lines for the causal summary (empty when no spans carry
-    request identity)."""
+    request identity). ``table`` is the hub's :func:`blame_table`
+    result, when the caller already has it."""
     from repro.obs.report import md_table
-    rows, traces, truncated = blame_table(telemetry)
+    if table is None:
+        table = blame_table(telemetry)
+    rows, traces, truncated = table
     if not traces:
         return []
     out = ["## Causal request blame", ""]
-    latencies = sorted(t.latency_ns for t in traces)
+    latencies = sorted([t.latency_ns for t in traces])
     partial = sum(1 for t in traces if t.partial)
     out.append(f"- requests traced: {len(traces)}")
     out.append(f"- end-to-end latency (us): "
@@ -442,17 +497,18 @@ def analyze_report(telemetry: Telemetry, title: str = "causal analysis",
     """The full ``python -m repro analyze`` Markdown report."""
     out: List[str] = [f"# {title}", ""]
     with_ids = 0
-    for _, span in telemetry.all_spans():
-        if span.span_id is not None:
-            with_ids += 1
+    for run in telemetry.runs:
+        for span in run.spans:
+            if span.span_id is not None:
+                with_ids += 1
     out.append(f"- runs: {len(telemetry.runs)}")
     out.append(f"- spans with causal identity: {with_ids}")
-    causal = causal_section(telemetry)
+    table = blame_table(telemetry)
+    causal = causal_section(telemetry, table)
     if causal:
         out.append("")
         out.extend(causal)
-        _, traces, _ = blame_table(telemetry)
-        crit = critical_path_section(traces, percentile)
+        crit = critical_path_section(table[1], percentile)
         if crit:
             out.append("")
             out.extend(crit)

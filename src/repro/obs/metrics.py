@@ -294,14 +294,33 @@ class MetricsRegistry:
     returned metric object. ``snapshot``/``delta`` support before/after
     comparisons, and ``dump``/``digest`` give the canonical byte-stable
     rendering.
+
+    A repeated lookup whose label values are all ``str`` skips
+    :func:`_key`: ``_handles`` maps the raw call shape (kind, name,
+    labels in call order) to the metric it resolved to. Any other value
+    type takes the canonical path every time: for those, raw equality
+    and ``str()`` disagree (``True == 1``, yet they render ``"True"``
+    and ``"1"``). :meth:`merge` drops the memo (it may swap a metric
+    for a frozen copy), and pickling never carries it.
     """
 
     def __init__(self, env=None):
         self.env = env
         self._metrics: Dict[MetricKey, object] = {}
+        self._handles: Dict[tuple, object] = {}
 
     def _get(self, cls, name: str, labels: Dict[str, object], *args):
-        key = _key(name, labels)
+        for value in labels.values():
+            if type(value) is not str:
+                return self._resolve(cls, _key(name, labels), args)
+        shape = (cls, name, *labels.items())
+        metric = self._handles.get(shape)
+        if metric is None:
+            metric = self._handles[shape] = self._resolve(
+                cls, _key(name, labels), args)
+        return metric
+
+    def _resolve(self, cls, key: MetricKey, args: tuple):
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls(key, *args)
@@ -343,6 +362,7 @@ class MetricsRegistry:
     def __setstate__(self, state):
         self.env = None
         self._metrics = state["_metrics"]
+        self._handles = {}
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other``'s metrics into this registry, key by key.
@@ -352,6 +372,7 @@ class MetricsRegistry:
         so merging those is deliberately not commutative. Merging an
         empty registry is a no-op: the digest is unchanged.
         """
+        self._handles.clear()
         for key, theirs in other._metrics.items():
             mine = self._metrics.get(key)
             if mine is None:

@@ -37,13 +37,14 @@ def stage_breakdown(telemetry: Telemetry) -> List[tuple]:
     """Per-stage ``(stage, count, mean_us, p50_us, p99_us, max_us)``,
     sorted by total time descending."""
     stats = {}
-    for _, span in telemetry.all_spans():
-        if span.end_ns is None:
-            continue
-        stat = stats.get(span.stage)
-        if stat is None:
-            stat = stats[span.stage] = LatencyStats(span.stage)
-        stat.record(span.duration_ns)
+    for run in telemetry.runs:
+        for span in run.spans:
+            if span.end_ns is None:
+                continue
+            stat = stats.get(span.stage)
+            if stat is None:
+                stat = stats[span.stage] = LatencyStats(span.stage)
+            stat.record(span.end_ns - span.begin_ns)
     rows = []
     for stage, stat in stats.items():
         rows.append((stage, stat.count, stat.mean / 1e3, stat.p50 / 1e3,
@@ -55,10 +56,10 @@ def stage_breakdown(telemetry: Telemetry) -> List[tuple]:
 def fault_timeline(telemetry: Telemetry) -> List[str]:
     """Chronological fault events across all runs (empty if none)."""
     entries = []
-    for run, span in telemetry.all_spans():
-        if not span.stage.startswith("fault."):
-            continue
-        entries.append((run.run_index, span.begin_ns, span))
+    for run in telemetry.runs:
+        for span in run.spans:
+            if span.stage.startswith("fault."):
+                entries.append((run.run_index, span.begin_ns, span))
     entries.sort(key=lambda e: (e[0], e[1]))
     lines = []
     for run_index, _, span in entries:

@@ -98,7 +98,13 @@ class Span:
 
 
 class SpanLog:
-    """Bounded span store (a ring, like :class:`~repro.sim.trace.Tracer`)."""
+    """Bounded span store: a ring keeping the newest ``capacity`` spans.
+
+    ``recorded`` counts every span ever appended, ``evicted`` those
+    displaced by newer ones once the ring filled.
+    :meth:`RunTelemetry.span` and :meth:`RunTelemetry.begin` append
+    inline, with the same bookkeeping as :meth:`append`.
+    """
 
     def __init__(self, capacity: int = 200_000):
         if capacity <= 0:
@@ -174,6 +180,10 @@ class RunTelemetry:
         #: :class:`repro.obs.timeline.RunTimeline` when the hub samples
         #: timelines; carried through shards like ``partition``.
         self.timeline = None
+        #: The last causal pass over this run's spans, memoized by
+        #: :func:`repro.obs.causal.request_traces`; never shipped in a
+        #: shard, exported or digested.
+        self._causal = None
 
     @classmethod
     def restored(cls, hub: "Telemetry", run_index: int, label: str,
@@ -195,24 +205,12 @@ class RunTelemetry:
         run._next_req = 0
         run.partition = partition
         run.timeline = timeline
+        run._causal = None
         if timeline is not None:
             # Re-link the back-reference dropped on pickling so blame
             # attribution can read the restored run's spans.
             timeline.run = run
         return run
-
-    def _wanted(self, stage: str) -> bool:
-        return self._stage_filter is None or stage in self._stage_filter
-
-    def _identity(self, ctx: Optional[SpanCtx], root: bool):
-        """Allot ``(span_id, parent_id, req)`` for a new span."""
-        self._next_span += 1
-        if ctx is not None:
-            return self._next_span, ctx.span, ctx.req
-        if root:
-            self._next_req += 1
-            return self._next_span, None, self._next_req
-        return self._next_span, None, None
 
     def span(self, stage: str, track: str, dur_ns: float = 0.0,
              start_ns: Optional[float] = None,
@@ -231,13 +229,27 @@ class RunTelemetry:
         causal roots: txn commit, RPC arrival, DMA op, fault fire);
         ``links`` adds extra predecessor span ids (batch fan-in).
         """
-        if not self._wanted(stage):
+        # The filter check, id allotment and ring append are inlined
+        # here and in begin(): both run once per recorded span.
+        if self._stage_filter is not None and stage not in self._stage_filter:
             return None
         begin = self.env.now if start_ns is None else start_ns
-        sid, parent, req = self._identity(ctx, root)
+        self._next_span = sid = self._next_span + 1
+        if ctx is not None:
+            parent, req = ctx.span, ctx.req
+        elif root:
+            self._next_req = req = self._next_req + 1
+            parent = None
+        else:
+            parent = req = None
         span = Span(stage, track, begin, begin + dur_ns, args or None,
                     sid, parent, tuple(links) if links else None, req)
-        self.spans.append(span)
+        log = self.spans
+        ring = log._spans
+        if len(ring) == ring.maxlen:
+            log.evicted += 1
+        ring.append(span)
+        log.recorded += 1
         return span
 
     def begin(self, stage: str, track: str,
@@ -246,12 +258,24 @@ class RunTelemetry:
               **args) -> Optional[Span]:
         """Open a span at the current simulated time; close it with
         :meth:`end`. Returns None when the stage is filtered out."""
-        if not self._wanted(stage):
+        if self._stage_filter is not None and stage not in self._stage_filter:
             return None
-        sid, parent, req = self._identity(ctx, root)
+        self._next_span = sid = self._next_span + 1
+        if ctx is not None:
+            parent, req = ctx.span, ctx.req
+        elif root:
+            self._next_req = req = self._next_req + 1
+            parent = None
+        else:
+            parent = req = None
         span = Span(stage, track, self.env.now, None, args or None,
                     sid, parent, tuple(links) if links else None, req)
-        self.spans.append(span)
+        log = self.spans
+        ring = log._spans
+        if len(ring) == ring.maxlen:
+            log.evicted += 1
+        ring.append(span)
+        log.recorded += 1
         return span
 
     def ctx_after(self, span: Optional[Span]) -> Optional[SpanCtx]:
@@ -269,6 +293,7 @@ class RunTelemetry:
         if span is None:
             return
         span.end_ns = self.env.now
+        self._causal = None  # a causal pass that saw it open is stale
         if args:
             if span.args is None:
                 span.args = {}
@@ -385,11 +410,6 @@ class Telemetry:
 
     def total_spans(self) -> int:
         return sum(run.spans.recorded for run in self.runs)
-
-    def all_spans(self):
-        for run in self.runs:
-            for span in run.spans:
-                yield run, span
 
     def stages(self) -> List[str]:
         out = set()

@@ -36,7 +36,6 @@ from repro.sim.partition import (LookaheadViolation, PartitionEngine,
                                  PartitionPlan)
 from repro.sim.resources import Store, Resource
 from repro.sim.monitor import LatencyStats, TimeWeightedValue, Counter
-from repro.sim.trace import Tracer, TraceEvent
 from repro.sim.faults import FaultInjector, FaultPlan, FaultRecord
 
 __all__ = [
@@ -57,8 +56,6 @@ __all__ = [
     "TimeWeightedValue",
     "Counter",
     "EventAlreadyTriggered",
-    "Tracer",
-    "TraceEvent",
     "FaultInjector",
     "FaultPlan",
     "FaultRecord",

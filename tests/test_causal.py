@@ -273,7 +273,8 @@ def test_deployment_analysis_is_deterministic():
     assert "Causal request blame" in texts[0]
 
 
-def test_run_report_includes_causal_and_observatory_sections():
+def test_run_report_includes_causal_and_observatory_sections(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
     hub = Telemetry()
     with hub:
         _run_sched_deployment()
@@ -283,8 +284,11 @@ def test_run_report_includes_causal_and_observatory_sections():
 
 
 # -- partition observatory ---------------------------------------------------
+# Only the partitioned engine records an observatory, so every test that
+# expects one clears the CI engine matrix's REPRO_NO_PARTITION first.
 
-def test_observatory_populated_for_partitioned_deployment():
+def test_observatory_populated_for_partitioned_deployment(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
     hub = Telemetry()
     with hub:
         env, _ = _run_sched_deployment()
@@ -309,14 +313,16 @@ def test_observatory_populated_for_partitioned_deployment():
     assert max(obs.cp_events.values()) <= obs.total_events
 
 
-def test_observatory_absent_without_telemetry():
+def test_observatory_absent_without_telemetry(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
     env, _ = _run_sched_deployment()
     assert env.telemetry is None
     assert env.partition is not None
     assert env.partition.observatory is None
 
 
-def test_observatory_deterministic_across_runs():
+def test_observatory_deterministic_across_runs(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
     snaps = []
     for _ in range(2):
         hub = Telemetry()
@@ -343,7 +349,8 @@ def test_observatory_not_in_metrics_dump():
 
 # -- shard round trip --------------------------------------------------------
 
-def test_shard_pickle_preserves_ids_edges_and_observatory():
+def test_shard_pickle_preserves_ids_edges_and_observatory(monkeypatch):
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
     hub = Telemetry()
     with hub:
         _run_sched_deployment()

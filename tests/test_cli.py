@@ -79,7 +79,8 @@ def test_report_unknown_experiment(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
-def test_analyze_command(tmp_path, capsys):
+def test_analyze_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
     out = tmp_path / "blame.md"
     assert main(["analyze", "table3", "--fast", "--out", str(out)]) == 0
     text = out.read_text()

@@ -8,6 +8,7 @@ from repro.core import Placement, WaveChannel, WaveOpts
 from repro.core.txn import TxnOutcome
 from repro.ghost import GhostAgent, GhostKernel, GhostTask, SchedCosts, TaskState
 from repro.hw import HwParams, Machine
+from repro.obs import Telemetry
 from repro.sched import FifoPolicy, ShinjukuPolicy
 from repro.sim import Environment
 
@@ -136,6 +137,32 @@ def test_fifo_never_preempts():
     env.run(until=5_000_000)
     assert kernel.preempted == 0
     assert all(t.preemptions == 0 for t in tasks)
+
+
+def test_kernel_emits_protocol_events():
+    """The kernel's protocol edges reach its telemetry: one submit and
+    one completion per task, a preemption, an idle park, and a
+    submit-to-complete latency sample covering each task's life."""
+    env = Environment()
+    run = Telemetry().attach(env)
+    machine = Machine(env, HwParams.pcie())
+    channel = WaveChannel(machine, Placement.NIC, WaveOpts.full(), name="t")
+    kernel = GhostKernel(channel, core_ids=[0], rng=random.Random(1))
+    agent = GhostAgent(channel, ShinjukuPolicy(30_000), [0])
+    agent.start()
+    kernel.start()
+    tasks = [GhostTask(service_ns=100_000)] + \
+        [GhostTask(service_ns=5_000) for _ in range(3)]
+    feed(env, kernel, tasks)
+    env.run(until=5_000_000)
+    metrics = run.metrics
+    assert metrics.counter("sched_tasks", event="submit").value == 4
+    assert metrics.counter("sched_tasks", event="complete").value == 4
+    assert metrics.counter("sched_tasks", event="preempt").value >= 1
+    assert run.spans.spans("core.park")
+    latency = metrics.histogram("sched_task_latency_ns")
+    assert latency.count == 4
+    assert latency.vmin > 0
 
 
 def test_switch_overhead_recorded():
