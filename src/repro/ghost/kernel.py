@@ -63,7 +63,9 @@ class GhostKernel:
         #: experiments to route responses back through the stack.
         self.on_task_complete = None
         #: The kernel is the source of truth for non-policy state
-        #: (section 6): every live task, for agent crash recovery.
+        #: (section 6): every live task, for agent crash recovery. A
+        #: task leaves when it completes here; one killed from outside
+        #: the kernel leaves at the next :meth:`runnable_snapshot`.
         self._live_tasks: Dict[int, GhostTask] = {}
         for core in self.core_ids:
             channel.register_interrupt_handler(core, self._on_interrupt)
@@ -257,6 +259,8 @@ class GhostKernel:
 
             # ---- completed ----
             task.state = TaskState.DEAD
+            # Bypass submit paths (NIC-created RPC tasks) never entered.
+            self._live_tasks.pop(task.tid, None)
             task.remaining_ns = 0.0
             task.completed_at = env.now
             if tel is not None:

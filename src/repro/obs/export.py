@@ -62,9 +62,9 @@ def chrome_trace_events(telemetry: Telemetry) -> List[dict]:
             }
             if span.end_ns is not None:
                 event["dur"] = span.duration_ns / 1000.0
-            if span.args:
-                event["args"] = {k: str(v) for k, v in
-                                 sorted(span.args.items())}
+            args = span.args
+            if args:
+                event["args"] = {k: str(v) for k, v in sorted(args.items())}
             events.append(event)
         events.extend(_flow_events(run, pid, tids, by_id))
         events.extend(_counter_events(run, pid))

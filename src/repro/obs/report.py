@@ -64,9 +64,10 @@ def fault_timeline(telemetry: Telemetry) -> List[str]:
     lines = []
     for run_index, _, span in entries:
         detail = ""
-        if span.args:
+        args = span.args
+        if args:
             detail = " " + " ".join(f"{k}={v}" for k, v in
-                                    sorted(span.args.items()))
+                                    sorted(args.items()))
         dur = ""
         if span.duration_ns:
             dur = f" (+{span.duration_ns / 1e6:.3f} ms)"

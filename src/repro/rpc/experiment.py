@@ -179,8 +179,9 @@ def run_rpc_point(scenario: RpcScenario,
         nic_local = machine.interconnect.nic_path(channel.opts.nic_pte)
 
         def submit(request: Request):
+            # Created on the NIC, not by kernel.submit: stamp it here.
             task = GhostTask(service_ns=model.task_service_ns(request),
-                             payload=request)
+                             created_at=env.now, payload=request)
             yield env.timeout(NIC_SUBMIT_NS)
             cost = channel.msg_ring.produce([Message(TASK_NEW, task)],
                                             via=nic_local)
@@ -189,8 +190,9 @@ def run_rpc_point(scenario: RpcScenario,
         posted = _NicToHostPostedPath(machine.params)
 
         def submit(request: Request):
+            # Created on the NIC, not by kernel.submit: stamp it here.
             task = GhostTask(service_ns=model.task_service_ns(request),
-                             payload=request)
+                             created_at=env.now, payload=request)
             yield env.timeout(NIC_SUBMIT_NS)
             cost = channel.msg_ring.produce([Message(TASK_NEW, task)],
                                             via=posted)

@@ -105,6 +105,50 @@ def test_dead_task_decision_fails_race():
     assert kernel.completed == 0
 
 
+# -- the kernel's task table (section 6 recovery state) ----------------------
+
+def test_completed_tasks_leave_the_task_table():
+    env, kernel, agent, _ = build(cores=2)
+    tasks = [GhostTask(service_ns=50_000) for _ in range(8)]
+    feed(env, kernel, tasks)
+    env.run(until=120_000)
+    assert 0 < sum(t.done for t in tasks) < len(tasks)
+    assert list(kernel._live_tasks.values()) == [
+        t for t in tasks if not t.done]
+    env.run(until=5_000_000)
+    assert kernel.completed == len(tasks)
+    assert kernel._live_tasks == {}
+
+
+def test_runnable_snapshot_in_submit_order():
+    env, kernel, agent, _ = build(cores=1)
+    tasks = [GhostTask(service_ns=20_000) for _ in range(6)]
+    submitted = tasks[::-1]  # submit order differs from tid order
+    feed(env, kernel, submitted)
+    env.run(until=60_000)
+    runnable = [t.tid for t in submitted if t.state is TaskState.RUNNABLE]
+    assert any(t.done for t in tasks) and len(runnable) >= 2
+    assert [t.tid for t in kernel.runnable_snapshot()] == runnable
+
+
+def test_runnable_snapshot_drops_task_killed_outside_kernel():
+    env, kernel, agent, channel = build(cores=1)
+    task = GhostTask(service_ns=10_000)
+    feed(env, kernel, [task])
+
+    def killer():
+        yield env.timeout(2_500)
+        task.state = TaskState.DEAD
+
+    env.process(killer())
+    env.run(until=2_000_000)
+    assert kernel.failed_txns >= 1
+    # The kernel never completed it, so only the snapshot can purge it.
+    assert list(kernel._live_tasks) == [task.tid]
+    assert kernel.runnable_snapshot() == []
+    assert kernel._live_tasks == {}
+
+
 def test_shinjuku_preempts_long_task():
     env, kernel, agent, _ = build(cores=1, policy=ShinjukuPolicy(30_000))
     long_task = GhostTask(service_ns=500_000)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.hw import HwParams, Machine
+from repro.obs import Telemetry
+from repro.rpc import experiment as rpc_experiment
 from repro.rpc import (
     GET_SLO_NS,
     RANGE_SLO_NS,
@@ -114,6 +116,30 @@ class TestRpcExperiment:
         multi = run_rpc_point(RpcScenario.OFFLOAD_ALL, True, 200_000,
                               duration_ns=30_000_000, warmup_ns=8_000_000)
         assert multi.get_p99_ns < single.get_p99_ns
+
+    @pytest.mark.parametrize("scenario", [RpcScenario.OFFLOAD_ALL,
+                                          RpcScenario.ONHOST_SCHED])
+    def test_nic_created_tasks_queue_from_creation(self, monkeypatch,
+                                                   scenario):
+        """Tasks the NIC stack creates carry their creation time, so a
+        ``sched.queue`` span starts after its request arrived, not at 0."""
+        tasks = {}
+
+        class RecordingTask(rpc_experiment.GhostTask):
+            def __post_init__(self):
+                super().__post_init__()
+                tasks[self.tid] = self
+
+        monkeypatch.setattr(rpc_experiment, "GhostTask", RecordingTask)
+        with Telemetry() as hub:
+            run_rpc_point(scenario, True, 100_000, duration_ns=2_000_000,
+                          warmup_ns=0)
+        queued = hub.runs[0].spans.spans("sched.queue")
+        assert len(queued) > 100
+        for span in queued:
+            request = tasks[span.args["tid"]].payload
+            assert span.begin_ns > 0
+            assert span.begin_ns >= request.arrival_ns
 
     def test_worker_core_override(self):
         result = run_rpc_point(RpcScenario.OFFLOAD_ALL, False, 50_000,
