@@ -6,8 +6,8 @@ Commands::
     run <experiment>     run one experiment (``--fast`` for CI params;
                          ``--trace out.json`` for a Perfetto-loadable
                          trace, ``--metrics out.txt`` for a metrics
-                         dump + digest, ``--profile`` for an event-loop
-                         profile)
+                         dump + digest, ``--profile`` for CPU self time
+                         per layer and function on stderr)
     report <experiment>  run one experiment and print/write a Markdown
                          run report (top event kinds, stage latencies,
                          fault timeline, causal blame, partition
@@ -268,8 +268,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--metrics", metavar="PATH",
                        help="write a flat metrics dump (with digest)")
     run_p.add_argument("--profile", action="store_true",
-                       help="profile the event loop (wall + simulated "
-                            "time per event kind)")
+                       help="profile the event loop (CPU self time "
+                            "per layer and per function, on stderr)")
     run_p.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="fan independent points across N processes "
                             "(-1 = all cores)")

@@ -155,13 +155,18 @@ def _init_worker(hb_queue, tel_config) -> None:
 
     A forked worker also inherits the parent's *installed* hub; feeding
     it would silently discard telemetry (the copy never returns), so it
-    is cleared here and replaced per point in :func:`_run_spec_sharded`.
+    is uninstalled here and replaced per point in
+    :func:`_run_spec_sharded`. Uninstalling also stops the hub's
+    inherited profiler: cProfile (3.12+) refuses to start the worker
+    hub's own while another profiler is active.
     """
     global _WORKER_HB, _WORKER_TEL_CFG
     _WORKER_HB = hb_queue
     _WORKER_TEL_CFG = tel_config
     from repro.sim import core as sim_core
-    sim_core.set_default_telemetry(None)
+    inherited = sim_core.default_telemetry()
+    if inherited is not None:
+        inherited.uninstall()
 
 
 def _heartbeat(kind: str, index: int, events: int,

@@ -1,6 +1,6 @@
 """Performance microbenchmarks with a tracked baseline.
 
-Two measurements, written to ``BENCH_perf.json``:
+Four measurements, written to ``BENCH_perf.json``:
 
 - **Kernel events/sec**: a pure simulation-kernel workload (timeout
   chains, ``any_of`` race pairs, interrupt-driven preemption) that
@@ -212,10 +212,42 @@ def measure_kernel(repeats: int = 3) -> dict:
     }
 
 
+def _evps(run: dict) -> float:
+    """Dispatched events per wall second of one bench run."""
+    return run["events_dispatched"] / run["wall_s"]
+
+
+def _paired_runs(first, second, repeats: int):
+    """Order-alternated runs of two bench points, and their paired median.
+
+    Runs ``2 * repeats + 1`` pairs, ``first`` ahead of ``second`` in
+    even pairs and behind it in odd ones. Returns ``(first_runs,
+    second_runs, ratio)``, where ``ratio`` is the median over pairs of
+    ``_evps(second) / _evps(first)`` (an odd count: one pair's ratio). Machine-wide load drift inflates
+    both walls of an adjacent pair together, so the ratio survives
+    noise that makes best-of-N vs best-of-N flake across the 20%+ wall
+    variance of CI-class shared runners; alternating the order cancels
+    the bias a monotone slowdown would put on whichever side always ran
+    second.
+    """
+    first_runs, second_runs = [], []
+    for i in range(2 * repeats + 1):
+        if i % 2 == 0:
+            first_runs.append(first())
+            second_runs.append(second())
+        else:
+            second_runs.append(second())
+            first_runs.append(first())
+    ratios = sorted(_evps(b) / _evps(a)
+                    for a, b in zip(first_runs, second_runs))
+    mid = len(ratios) // 2
+    return first_runs, second_runs, ratios[mid]
+
+
 #: Horizon of one partition-bench run. Short enough (~5 s of wall per
 #: engine run) that machine-wide load drift cannot move much *within*
-#: one serial/batched pair -- the paired-ratio estimator below depends
-#: on pair members seeing the same machine.
+#: one serial/batched pair -- the paired-ratio estimator
+#: (:func:`_paired_runs`) depends on pair members seeing the same machine.
 PARTITION_HORIZON_NS = 1_000_000
 
 
@@ -269,37 +301,11 @@ def measure_partition(repeats: int = 3) -> dict:
     """
     for engine in ("serial", "batched"):  # warmup
         partition_kernel_point(engine, horizon_ns=200_000)
-    # The speedups are *medians of paired ratios* over order-alternated
-    # serial/batched pairs: machine-wide load drift inflates both walls
-    # of an adjacent pair together (so the ratio survives noise that
-    # makes best-of-N-vs-best-of-N flake across the 20%+ wall variance
-    # observed on CI-class shared runners), and alternating which
-    # engine runs first cancels the bias a monotone slowdown would
-    # otherwise put on whichever engine always ran second.
-    pairs = 2 * repeats + 1
-    serial_runs, part_runs = [], []
-    for i in range(pairs):
-        if i % 2 == 0:
-            serial_runs.append(partition_kernel_point("serial"))
-            part_runs.append(partition_kernel_point("batched"))
-        else:
-            part_runs.append(partition_kernel_point("batched"))
-            serial_runs.append(partition_kernel_point("serial"))
-
-    def _evps(run):
-        return run["events_dispatched"] / run["wall_s"]
-
-    def _median(values):
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
-
+    serial_runs, part_runs, speedup = _paired_runs(
+        lambda: partition_kernel_point("serial"),
+        lambda: partition_kernel_point("batched"), repeats)
     serial_best = max(_evps(r) for r in serial_runs)
     part_best = max(_evps(r) for r in part_runs)
-    speedup = _median([_evps(p) / _evps(s)
-                       for p, s in zip(part_runs, serial_runs)])
     serial, part = serial_runs[0], part_runs[0]
     return {
         "events_per_sec": round(part_best),
@@ -364,28 +370,9 @@ def measure_timeline(repeats: int = 3) -> dict:
     """
     timeline_kernel_point(False, horizon_ns=200_000)  # warmup
     timeline_kernel_point(True, horizon_ns=200_000)
-    pairs = 2 * repeats + 1
-    off_runs, on_runs = [], []
-    for i in range(pairs):
-        if i % 2 == 0:
-            off_runs.append(timeline_kernel_point(False))
-            on_runs.append(timeline_kernel_point(True))
-        else:
-            on_runs.append(timeline_kernel_point(True))
-            off_runs.append(timeline_kernel_point(False))
-
-    def _evps(run):
-        return run["events_dispatched"] / run["wall_s"]
-
-    def _median(values):
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-    paired = _median([_evps(on) / _evps(off)
-                      for on, off in zip(on_runs, off_runs)])
+    off_runs, on_runs, paired = _paired_runs(
+        lambda: timeline_kernel_point(False),
+        lambda: timeline_kernel_point(True), repeats)
     on_best = max(_evps(r) for r in on_runs)
     off_best = max(_evps(r) for r in off_runs)
     on, off = on_runs[0], off_runs[0]

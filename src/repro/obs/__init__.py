@@ -10,8 +10,9 @@ and ``python -m repro report <exp>``:
   kernel, policies, RPC, SOL, faults);
 - exporters -- Chrome trace-event JSON (open in Perfetto), flat metrics
   dumps, Markdown run reports;
-- :class:`LoopProfiler` -- wall-clock/sim-time attribution per event
-  kind, for finding simulator hot spots.
+- :class:`LoopProfiler` -- a :mod:`cProfile` wrapper splitting the
+  simulator's CPU self time per layer and per function, for finding
+  simulator hot spots.
 
 See ``docs/observability.md`` for naming conventions and usage.
 """

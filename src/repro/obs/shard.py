@@ -15,8 +15,8 @@ What travels in a shard:
   gauges, histogram buckets; time-weighted metrics freeze on pickling),
 - every run's :class:`~repro.obs.spans.SpanLog` (the span stream, plus
   recorded/evicted bookkeeping),
-- the worker's :class:`~repro.obs.profile.LoopProfiler` state, when the
-  parent hub profiles, and
+- the worker's :class:`~repro.obs.profile.LoopProfiler` state (calls
+  and CPU self time per function), when the parent hub profiles, and
 - the total simulator events scheduled (for the sweep progress line's
   events/sec readout).
 

@@ -341,7 +341,7 @@ class Telemetry:
         self.span_capacity = span_capacity
         self.stage_filter = set(stage_filter) if stage_filter else None
         #: Optional :class:`repro.obs.profile.LoopProfiler`; when set,
-        #: every attached environment's event loop is profiled.
+        #: it profiles everything run while this hub is installed.
         self.profiler = profiler
         #: Optional :class:`repro.obs.timeline.TimelineConfig`; when
         #: set, every attached environment gets a
@@ -358,22 +358,26 @@ class Telemetry:
             from repro.obs.timeline import RunTimeline
             run.timeline = RunTimeline(run, self.timeline)
             env._timeline = run.timeline
-        if self.profiler is not None:
-            self.profiler.attach(env)
         return run
 
     # -- global install -----------------------------------------------------
 
     def install(self) -> "Telemetry":
-        """Auto-attach to every Environment constructed from now on."""
+        """Auto-attach to every Environment constructed from now on,
+        and start the profiler, if any."""
         from repro.sim import core as sim_core
         sim_core.set_default_telemetry(self)
+        if self.profiler is not None:
+            self.profiler.start()
         return self
 
     def uninstall(self) -> None:
+        """Undo :meth:`install`; stops the profiler, if any."""
         from repro.sim import core as sim_core
         if sim_core.default_telemetry() is self:
             sim_core.set_default_telemetry(None)
+        if self.profiler is not None:
+            self.profiler.stop()
 
     def __enter__(self) -> "Telemetry":
         return self.install()

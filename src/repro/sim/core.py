@@ -78,10 +78,6 @@ class StopSimulation(Exception):
     """Raised internally to end :meth:`Environment.run` at an event."""
 
 
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 class Environment:
     """Drives simulated time forward by processing scheduled events.
 
@@ -90,8 +86,9 @@ class Environment:
 
     Fast-path invariants (see ``docs/performance.md``):
 
-    - :meth:`run` inlines the dispatch loop; :meth:`step` exists for
-      single-stepping and for the profiled path (``_profile_hook``).
+    - :meth:`run` inlines the serial kernel's only dispatch loop.
+      Profiled runs take it too (:mod:`repro.obs.profile` runs
+      :mod:`cProfile` around it).
     - Cancelled events (:meth:`Event.cancel`) stay in their queue and
       are discarded lazily, without advancing the clock.
     - Processed :class:`Timeout` objects are recycled through a
@@ -129,7 +126,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "faults",
-                 "telemetry", "_timeline", "_timeout_pool", "_profile_hook",
+                 "telemetry", "_timeline", "_timeout_pool",
                  "_wheel", "_staged", "_partition", "_engine",
                  "events_scheduled", "events_dispatched", "timers_coalesced",
                  "cancelled_purged", "_cancel_backlog")
@@ -166,10 +163,6 @@ class Environment:
         #: counter incremented by :meth:`Event.cancel` so the purge can
         #: trigger on backlog size without scanning anything.
         self._cancel_backlog = 0
-        #: Optional per-step observer installed by
-        #: :class:`repro.obs.profile.LoopProfiler`; when set, :meth:`run`
-        #: takes the stepped (profiled) path instead of the inline loop.
-        self._profile_hook = None
         #: Optional :class:`repro.sim.faults.FaultInjector`. Instrumented
         #: subsystems consult this at their protocol edges; ``None`` (the
         #: default) means every fault hook is a no-op.
@@ -385,83 +378,6 @@ class Environment:
         else:
             wheel._next_start = _INF
 
-    def peek(self) -> float:
-        """Time of the next *live* scheduled event, or +inf if none.
-
-        Cancelled entries at the head are discarded on the way, so an
-        idle queue of dead timers can never make the horizon look busy.
-        Considers the timer wheel too (without promoting anything).
-        """
-        part = self._partition
-        if part is not None:
-            return part.peek()
-        if self._staged:
-            self._flush_staged()
-        queue = self._queue
-        best = _INF
-        while queue:
-            when, priority, seq, event = queue[0]
-            if event._cancelled:
-                heapq.heappop(queue)
-                self._recycle(event)
-                continue
-            if type(event) is RearmableTimer and event._rearm_seq != seq:
-                heapq.heappop(queue)
-                self._push_rearmed(event, when, priority)
-                continue
-            best = when
-            break
-        wheel = self._wheel
-        if wheel is not None and wheel._count:
-            earliest = wheel.earliest_deadline()
-            if earliest < best:
-                best = earliest
-        return best
-
-    def _process_event(self, now: float, event: Event) -> None:
-        """Advance the clock to ``now`` and run one event's callbacks."""
-        timeline = self._timeline
-        if timeline is not None and timeline._next_ns <= now:
-            timeline._cross(now)
-        self._now = now
-        self.events_dispatched += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failure nobody waited on: surface it instead of losing it.
-            exc = event._value
-            raise type(exc)(*exc.args) from exc
-        self._recycle(event)
-
-    def step(self) -> None:
-        """Process exactly one live event (skipping cancelled entries)."""
-        part = self._partition
-        if part is not None:
-            part.step()
-            return
-        queue = self._queue
-        wheel = self._wheel
-        while True:
-            if wheel is not None and wheel._count:
-                self._promote_due(_INF)
-            try:
-                now, priority, seq, event = heapq.heappop(queue)
-            except IndexError:
-                raise EmptySchedule() from None
-            if event._cancelled:
-                self._recycle(event)
-                continue
-            if type(event) is RearmableTimer and event._rearm_seq != seq:
-                self._push_rearmed(event, now, priority)
-                continue
-            break
-        hook = self._profile_hook
-        if hook is None:
-            self._process_event(now, event)
-        else:
-            hook(self, now, event)
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -480,26 +396,13 @@ class Environment:
         if part is not None:
             return part.run(until, stop_at)
 
-        if self._profile_hook is not None:
-            # Profiled path: per-event bookkeeping lives in step().
-            try:
-                while True:
-                    if self._wheel is not None and self._wheel._count:
-                        self._promote_due(stop_at)
-                    if not self._queue or self._queue[0][0] > stop_at:
-                        break
-                    self.step()
-            except StopSimulation as stop:
-                return stop.args[0]
-            return self._finish_run(until, stop_at)
-
         # Inline dispatch loop: the whole-program hot path. Everything
         # touched per event is a local; cancelled entries are discarded
         # without advancing the clock; fired Timeouts go back to the
         # freelist; due wheel buckets are promoted before any heap pop
         # they could affect; the earliest staged entry is dispatched
-        # inline when it provably precedes both queues. Semantically
-        # identical to `while ...: self.step()`.
+        # inline when it provably precedes both queues. Dispatch order
+        # is exactly the heap order (time, priority, seq).
         queue = self._queue
         pool = self._timeout_pool
         pop = heapq.heappop

@@ -55,9 +55,10 @@ other domains (their cleaned heap heads, their wheels' earliest bucket
 starts). Cross-domain inserts made while a domain runs lower the bound
 immediately, so the window is always conservative. It serves the runs
 batching cannot: telemetry-instrumented runs (span order is
-observable; each merge window feeds the :class:`PartitionObservatory`),
-``run(until=<event>)`` (the stop point is order-sensitive), profiled
-runs, and ``step``/``peek``.
+observable; each merge window feeds the :class:`PartitionObservatory`)
+and ``run(until=<event>)`` (the stop point is order-sensitive).
+Profiling adds no path of its own: a profiled run is a telemetry run,
+and :mod:`repro.obs.profile` measures the merge it takes.
 
 **Handoff to the serial kernel.** Any other run with batching off --
 degraded mid-run, or before it started -- is finished by the serial
@@ -90,8 +91,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.sim.core import (EmptySchedule, Environment, StopSimulation,
-                            _POOL_MAX)
+from repro.sim.core import Environment, StopSimulation, _POOL_MAX
 from repro.sim.events import Event, RearmableTimer, Timeout
 from repro.sim.wheel import MIN_COARSE_DELAY, MIN_WHEEL_DELAY, TimerWheel
 
@@ -334,12 +334,11 @@ class PartitionEngine:
     """The partitioned event-queue engine behind an :class:`Environment`.
 
     Installed by :meth:`Environment.enable_partition`; the environment
-    inlines its ``timeout``/``_schedule`` inserts and forwards
-    ``run``/``step``/``peek`` here until a run is handed off. The exact
-    merge must preserve the serial kernel's observable semantics
-    exactly -- the cross-engine conformance suite
-    (``tests/conformance/``) is the proof obligation for every edit to
-    this file.
+    inlines its ``timeout``/``_schedule`` inserts and forwards ``run``
+    here until a run is handed off. The exact merge must preserve the
+    serial kernel's observable semantics exactly -- the cross-engine
+    conformance suite (``tests/conformance/``) is the proof obligation
+    for every edit to this file.
     """
 
     __slots__ = ("env", "plan", "domains", "_by_name", "default", "current",
@@ -1026,27 +1025,10 @@ class PartitionEngine:
         """`Environment.run` under partitioning.
 
         Batched rounds while batching holds; the exact merge for
-        telemetry, ``run(until=<event>)`` and profiled runs; otherwise
-        (batching off, before or during the run) the handoff to the
-        serial kernel.
+        telemetry and ``run(until=<event>)``; otherwise (batching off,
+        before or during the run) the handoff to the serial kernel.
         """
         env = self.env
-        if env._profile_hook is not None:
-            # Profiled path: one select per event, per-event bookkeeping
-            # in the hook (mirrors the serial stepped path).
-            hook = env._profile_hook
-            try:
-                while True:
-                    sel = self._select(stop_at)
-                    if sel is None:
-                        break
-                    domain = sel[0]
-                    when, priority, seq, event = heappop(domain.queue)
-                    self.current = domain
-                    hook(env, when, event)
-            except StopSimulation as stop:
-                return stop.args[0]
-            return env._finish_run(until, stop_at)
         obs = self.observatory
         exact = (obs is not None or env.telemetry is not None
                  or isinstance(until, Event))
@@ -1125,50 +1107,6 @@ class PartitionEngine:
         heapify(queue)
         env._partition = None
         return env.run(until)
-
-    def step(self) -> None:
-        """`Environment.step` under partitioning: one global-min event."""
-        env = self.env
-        sel = self._select(_INF)
-        if sel is None:
-            raise EmptySchedule() from None
-        domain = sel[0]
-        when, priority, seq, event = heappop(domain.queue)
-        self.current = domain
-        hook = env._profile_hook
-        if hook is None:
-            env._process_event(when, event)
-        else:
-            hook(env, when, event)
-
-    def peek(self) -> float:
-        """`Environment.peek` under partitioning: min across domains."""
-        env = self.env
-        if self._running and self._run_domain is not None:
-            self._flush_staged(self._run_domain)
-        best = _INF
-        for domain in self.domains:
-            queue = domain.queue
-            while queue:
-                when, priority, seq, event = queue[0]
-                if event._cancelled:
-                    heappop(queue)
-                    env._recycle(event)
-                    continue
-                if type(event) is RearmableTimer \
-                        and event._rearm_seq != seq:
-                    heappop(queue)
-                    self._push_rearmed(domain, when, priority, event)
-                    continue
-                if when < best:
-                    best = when
-                break
-            wheel = domain.wheel
-            if wheel is not None and wheel._count:
-                earliest = wheel.earliest_deadline()
-                if earliest < best:
-                    best = earliest
-        return best
 
 
 __all__ = ["PartitionPlan", "PartitionEngine", "PartitionObservatory",

@@ -244,22 +244,6 @@ class TimerWheel:
             self.next_start()
         return dropped
 
-    def earliest_deadline(self) -> float:
-        """Earliest *live* deadline filed anywhere in the wheel (+inf if
-        none). O(n) scan -- used by ``Environment.peek`` only."""
-        best = _INF
-        for buckets in (self._fine, self._coarse):
-            for bucket in buckets.values():
-                for entry in bucket:
-                    event = entry[3]
-                    if event._cancelled:
-                        continue
-                    when = (event._fire_at
-                            if type(event) is RearmableTimer else entry[0])
-                    if when < best:
-                        best = when
-        return best
-
 
 __all__ = ["TimerWheel", "FINE_GRAIN", "COARSE_GRAIN", "MIN_WHEEL_DELAY",
            "MIN_COARSE_DELAY"]

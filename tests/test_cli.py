@@ -61,9 +61,41 @@ def test_run_without_flags_leaves_no_telemetry_installed(capsys):
     assert Environment().telemetry is None
 
 
-def test_run_profile(capsys):
-    assert main(["run", "table2", "--fast", "--profile"]) == 0
-    assert "event-loop profile" in capsys.readouterr().err
+def _profile_layers(err: str) -> dict:
+    """``layer -> calls`` from the layer table of a ``--profile`` run."""
+    lines = err[err.index("event-loop profile"):].splitlines()
+    layers = {}
+    for line in lines[2:]:
+        if line.startswith("function"):
+            break
+        layer, calls = line.split()[:2]
+        layers[layer] = int(calls.replace(",", ""))
+    return layers
+
+
+def test_run_profile(capsys, monkeypatch):
+    from repro.obs import LoopProfiler
+
+    assert main(["run", "table3", "--fast"]) == 0
+    bare = capsys.readouterr().out
+    merged = []
+    merge_state = LoopProfiler.merge_state
+
+    def spy(self, state):
+        merged.append(state)
+        return merge_state(self, state)
+
+    monkeypatch.setattr(LoopProfiler, "merge_state", spy)
+    for jobs in ("1", "2"):
+        del merged[:]
+        assert main(["run", "table3", "--fast", "--profile",
+                     "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == bare
+        assert _profile_layers(captured.err)["sim"] > 0
+        # A pooled run simulates in its workers: their rows reach the
+        # parent's table only through the shard merge.
+        assert bool(merged) == (jobs != "1")
 
 
 def test_report_command(tmp_path, capsys):

@@ -17,6 +17,7 @@ from repro.obs import (
     Span,
     SpanLog,
     Telemetry,
+    analyze_report,
     chrome_trace_events,
     metrics_digest,
     metrics_dump,
@@ -26,8 +27,11 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.sched import ShinjukuPolicy
+from repro.obs.profile import LAYERS, OTHER
+from repro.sched import FifoPolicy, ShinjukuPolicy
+from repro.sched.experiment import run_sched_point
 from repro.sim import Environment
+from repro.workloads import RocksDbModel
 
 
 # -- metrics registry --------------------------------------------------------
@@ -397,15 +401,38 @@ def test_loop_profiler_attributes_time():
     with hub:
         env, kernel = _run_sched_deployment()
     assert kernel.completed == 8
-    assert profiler.steps > 0
-    assert profiler.wall_s > 0
-    kinds = dict((k, c) for k, c, _, _ in profiler.rows())
-    assert any(k.startswith("Timeout") for k in kinds)
-    # Trailing digits collapse: core0/core1 share one row.
-    assert "Timeout:core" in kinds
+    layers = {layer: (calls, self_s)
+              for layer, calls, self_s in profiler.rows()}
+    for layer in ("sim", "ghost"):
+        assert layers[layer][0] > 0, f"no calls in layer {layer}"
+    assert sum(self_s for _, self_s in layers.values()) > 0
+    assert set(layers) <= set(LAYERS) | {OTHER}
     text = profiler.table(top=5)
-    assert "event-loop profile" in text
-    assert "wall ms" in text
+    assert text.startswith("event-loop profile")
+    assert "self ms" in text
+    assert len(text.splitlines()) == 2 + len(layers) + 1 + 5
+
+
+def test_profiled_run_takes_the_unprofiled_dispatch_loop(monkeypatch):
+    """A profiled partitioned telemetry run dispatches through the same
+    exact merge as the unprofiled one: same reports (partition
+    observatory included), same digest, same domain switches."""
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    outputs = []
+    for profiler in (None, LoopProfiler()):
+        counters = {}
+        hub = Telemetry(profiler=profiler)
+        with hub:
+            run_sched_point(Placement.NIC, WaveOpts.full(), 16, FifoPolicy,
+                            RocksDbModel.fifo_mix, 600_000,
+                            duration_ns=1_000_000, warmup_ns=200_000,
+                            seed=8, counters=counters)
+        outputs.append((run_report(hub), analyze_report(hub),
+                        metrics_digest(hub),
+                        counters["partition_switches"]))
+    assert outputs[0][3] > 0
+    assert "Partition observatory" in outputs[0][0]
+    assert outputs[1] == outputs[0]
 
 
 def test_profiler_wall_clock_never_reaches_digest():

@@ -107,14 +107,18 @@ def test_profiler_state_roundtrip_and_merge():
 
         env.process(proc())
         env.run(until=20)
+    assert profiler.functions
     state = pickle.loads(pickle.dumps(profiler.state()))
     other = LoopProfiler()
     other.merge_state(state)
     other.merge_state(state)
-    merged = {k: c for k, c, _, _ in other.rows()}
-    for kind, count, _, _ in profiler.rows():
-        assert merged[kind] == 2 * count
-    assert other.steps == 2 * profiler.steps
+    # Doubling is exact in binary floating point, so seconds compare
+    # exactly too.
+    assert other.functions == {key: [2 * calls, 2 * self_s]
+                               for key, (calls, self_s)
+                               in profiler.functions.items()}
+    assert other.rows() == [(layer, 2 * calls, 2 * self_s)
+                            for layer, calls, self_s in profiler.rows()]
 
 
 def test_telemetry_shard_pickle_roundtrip():

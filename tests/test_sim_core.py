@@ -270,18 +270,6 @@ def test_condition_propagates_child_failure():
     assert caught == [5]
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(40)
-    env.timeout(15)
-    assert env.peek() == 15
-
-
-def test_peek_empty_is_inf():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-
 def test_nested_processes():
     env = Environment()
     trace = []
@@ -369,14 +357,6 @@ def test_cancelled_event_cannot_trigger():
         ev.succeed()
     with pytest.raises(EventAlreadyTriggered):
         ev.fail(RuntimeError("late"))
-
-
-def test_peek_skips_cancelled_head():
-    env = Environment()
-    head = env.timeout(5)
-    env.timeout(30)
-    head.cancel()
-    assert env.peek() == 30
 
 
 def test_run_until_time_skips_cancelled_head():
