@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.spans import Span, Telemetry
@@ -89,6 +92,20 @@ class RequestTrace:
 class CausalGraph:
     """All causal graphs of one run, indexed from its span log.
 
+    The index is positional: a span is its place in the log
+    (:meth:`~repro.obs.spans.SpanLog.positions`), and every parent and
+    link reference is resolved to a position once, here. Besides the
+    list of spans it is kept in flat ``array('i')`` columns:
+
+    - ``_pred[pos]`` and ``_child[pos]`` are a span's one predecessor
+      (its parent or its link) and its one child, -1 for none. A span
+      with several holds ``-2 - row`` instead, and its entries are
+      ``rows[off[row]:off[row + 1]]`` of ``_pred_rows`` or
+      ``_child_rows`` (their offsets in ``_pred_off``/``_child_off``).
+    - Requests, in id order: ``_req_ids``, each one's root position in
+      ``_roots``, and its members in record order,
+      ``_members[_req_off[k]:_req_off[k + 1]]``.
+
     ``truncated`` counts edge references to spans no longer in the log
     (evicted from the bounded ring, or filtered): the analyzer treats
     every such edge as absent and flags the affected request partial.
@@ -96,160 +113,206 @@ class CausalGraph:
 
     def __init__(self, run):
         self.run = run
-        self.by_id: Dict[int, Span] = {}
-        self.children: Dict[int, List[int]] = {}
-        self.requests: Dict[int, List[Span]] = {}
-        self.truncated = 0
-        self._partial_reqs = set()
-        #: Each request's ``sched.queue`` intervals, in record order.
-        self._queued: Dict[int, List[Tuple[float, float]]] = {}
-        by_id = self.by_id
-        children = self.children
-        # One pass in record order. A predecessor is normally recorded
-        # before its successor; a reference to a span not indexed yet
-        # is settled after the pass, so a later span can still satisfy
-        # it.
-        pending: List[Tuple[int, Span]] = []
-        for span in run.spans:
-            sid = span.span_id
-            if sid is None:
-                continue
-            by_id[sid] = span
-            req = span.req
-            if req is not None:
-                self.requests.setdefault(req, []).append(span)
-                if span.stage == "sched.queue":
-                    end = span.end_ns
-                    self._queued.setdefault(req, []).append(
-                        (span.begin_ns,
-                         end if end is not None else span.begin_ns))
-            parent = span.parent_id
-            if parent is not None:
-                if parent in by_id:
-                    children.setdefault(parent, []).append(sid)
-                else:
-                    pending.append((parent, span))
-            if span.links:
-                for link in span.links:
-                    if link in by_id:
-                        children.setdefault(link, []).append(sid)
+        spans, refs, first = run.spans.positions()
+        self._spans = spans
+        n = len(spans)
+        stop = first + n
+        pred = array("i", [-1]) * n
+        child = array("i", [-1]) * n
+        # Entries beyond a span's first predecessor / first child, as
+        # (span, entry) pairs.
+        more_preds, more_children = [], []
+        severed = []  # one entry per reference to a span not in the log
+        members = {}  # request id -> member positions, in record order
+        for pos, ref in enumerate(refs):
+            ids = ref.links
+            if ref.parent_id is not None:
+                ids = (ref.parent_id,) + ids if ids else (ref.parent_id,)
+            if ids:
+                has_pred = False
+                for sid in ids:
+                    if not first <= sid < stop:
+                        severed.append(pos)
+                        continue
+                    at = sid - first
+                    if has_pred:
+                        more_preds.append((pos, at))
                     else:
-                        pending.append((link, span))
-        for pred, span in pending:
-            if pred in by_id:
-                children.setdefault(pred, []).append(span.span_id)
+                        pred[pos] = at
+                        has_pred = True
+                    if child[at] < 0:
+                        child[at] = pos
+                    else:
+                        more_children.append((at, pos))
+            req = ref.req
+            if req is not None:
+                mine = members.get(req)
+                if mine is None:
+                    members[req] = [pos]
+                else:
+                    mine.append(pos)
+        self.truncated = len(severed)
+        self._severed = set(severed)
+        self._partial_reqs = {spans[pos].req for pos in self._severed}
+        self._partial_reqs.discard(None)
+        self._pred, self._pred_rows, self._pred_off = \
+            _with_rows(pred, more_preds)
+        self._child, self._child_rows, self._child_off = \
+            _with_rows(child, more_children)
+        req_ids = sorted(members)
+        rows = [members[req] for req in req_ids]
+        del members
+        roots = []
+        for req, row in zip(req_ids, rows):
+            # Root: the earliest span of the request with no surviving
+            # parent (the minted root, or the surviving suffix head
+            # after eviction severed the chain).
+            for pos in row:
+                parent = refs[pos].parent_id
+                if parent is None or not first <= parent < stop:
+                    break
             else:
-                self.truncated += 1
-                if span.req is not None:
-                    self._partial_reqs.add(span.req)
+                # Pure cycle through links (never produced by the
+                # instrumentation, but never crash): take the first
+                # span.
+                pos = row[0]
+                self._partial_reqs.add(req)
+            roots.append(pos)
+        self._req_ids = array("q", req_ids)
+        self._roots = array("i", roots)
+        self._req_off = array("i", accumulate(map(len, rows), initial=0))
+        self._members = array("i", chain.from_iterable(rows))
 
     def request_ids(self) -> List[int]:
-        return sorted(self.requests)
+        return self._req_ids.tolist()
 
     def trace(self, req: int) -> Optional[RequestTrace]:
         """Reconstruct one request's critical path and blame."""
-        spans = self.requests.get(req)
-        if not spans:
+        req_ids = self._req_ids
+        k = bisect_left(req_ids, req)
+        if k == len(req_ids) or req_ids[k] != req:
             return None
-        by_id = self.by_id
-        partial = req in self._partial_reqs
-        # Root: the earliest span of the request with no surviving
-        # parent (the minted root, or the surviving suffix head after
-        # eviction severed the chain).
-        root = None
-        for span in spans:
-            if (span.parent_id is None
-                    or span.parent_id not in by_id):
-                root = span
-                break
-        if root is None:
-            # Pure cycle through links (never produced by the
-            # instrumentation, but never crash): take the first span.
-            root = spans[0]
-            partial = True
+        return self._trace(k)
+
+    def traces(self) -> List[RequestTrace]:
+        return [self._trace(k) for k in range(len(self._req_ids))]
+
+    def _trace(self, k: int) -> RequestTrace:
+        """The trace of the ``k``-th request in id order."""
+        spans = self._spans
+        root = self._roots[k]
+        # Read off the root span, the memoized trace shares the span's
+        # int object; one read from the array would be a new one.
+        req = spans[root].req
         # Forward reachability from the root bounds the terminal
         # choice: a batch span may link spans of *other* requests into
         # its subtree, so the terminal must both carry this request id
         # and be causally downstream of this root.
-        children = self.children
+        child = self._child
+        child_rows = self._child_rows
+        child_off = self._child_off
         reachable = set()
-        stack = [root.span_id]
+        stack = [root]
         while stack:
-            sid = stack.pop()
-            if sid in reachable:
+            pos = stack.pop()
+            if pos in reachable:
                 continue
-            reachable.add(sid)
-            stack.extend(children.get(sid, ()))
+            reachable.add(pos)
+            nxt = child[pos]
+            if nxt >= 0:
+                stack.append(nxt)
+            elif nxt != -1:
+                row = -2 - nxt
+                stack.extend(child_rows[child_off[row]:child_off[row + 1]])
         # The terminal is the reachable span that finished last (ties:
         # the later-recorded one). The root itself is reachable, so
-        # there always is one.
+        # there always is one. The same pass collects the request's
+        # ``sched.queue`` intervals, reachable or not.
+        queued = []
         terminal = None
-        best_end = best_sid = None
-        for span in spans:
-            sid = span.span_id
-            if sid not in reachable:
-                continue
+        for pos in self._members[self._req_off[k]:self._req_off[k + 1]]:
+            span = spans[pos]
             end = span.end_ns
             if end is None:
                 end = span.begin_ns
+            if span.stage == "sched.queue":
+                queued.append((span.begin_ns, end))
+            if pos not in reachable:
+                continue
             if (terminal is None or end > best_end
-                    or (end == best_end and sid > best_sid)):
-                terminal, best_end, best_sid = span, end, sid
+                    or (end == best_end
+                        and span.span_id > terminal.span_id)):
+                terminal, cursor, best_end = span, pos, end
         # Walk back from the terminal, always via the predecessor that
         # finished last (the binding dependency; ties again go to the
         # later-recorded span) -- but only through spans reachable from
         # this request's root: batch spans fan in edges from *other*
         # requests' chains, and following those would splice a
         # stranger's history into this path.
+        pred = self._pred
+        pred_rows = self._pred_rows
+        pred_off = self._pred_off
+        severed = self._severed
+        partial = req in self._partial_reqs
         path = [terminal]
-        seen = {terminal.span_id}
-        cursor = terminal
+        seen = {cursor}
         while True:
-            best = None
-            parent = cursor.parent_id
-            if parent is not None:
-                pred = by_id.get(parent)
-                if pred is None:
-                    partial = True
-                elif parent not in seen and parent in reachable:
-                    best, best_sid = pred, parent
-                    best_end = pred.end_ns
-                    if best_end is None:
-                        best_end = pred.begin_ns
-            if cursor.links:
-                for link in cursor.links:
-                    pred = by_id.get(link)
-                    if pred is None:
-                        partial = True
-                        continue
-                    if link in seen or link not in reachable:
-                        continue
-                    end = pred.end_ns
-                    if end is None:
-                        end = pred.begin_ns
-                    if (best is None or end > best_end
-                            or (end == best_end and link > best_sid)):
-                        best, best_end, best_sid = pred, end, link
-            if best is None:
+            if cursor in severed:
+                partial = True
+            ref = pred[cursor]
+            if ref >= 0:
+                # One predecessor: it is the binding one if eligible.
+                if ref in seen or ref not in reachable:
+                    break
+                cursor = ref
+            elif ref == -1:
                 break
-            cursor = best
-            seen.add(best_sid)
-            path.append(best)
+            else:
+                row = -2 - ref
+                best = None
+                for pos in pred_rows[pred_off[row]:pred_off[row + 1]]:
+                    if pos in seen or pos not in reachable:
+                        continue
+                    span = spans[pos]
+                    end = span.end_ns
+                    if end is None:
+                        end = span.begin_ns
+                    if (best is None or end > best_end
+                            or (end == best_end
+                                and span.span_id > best.span_id)):
+                        best, cursor, best_end = span, pos, end
+                if best is None:
+                    break
+            seen.add(cursor)
+            path.append(spans[cursor])
         path.reverse()
         end = terminal.end_ns if terminal.end_ns is not None \
             else terminal.begin_ns
         latency = max(0.0, end - path[0].begin_ns)
         return RequestTrace(self.run.label, req, path, latency,
-                            _blame_of(path, self._queued.get(req)),
-                            partial)
+                            _blame_of(path, queued), partial)
 
-    def traces(self) -> List[RequestTrace]:
-        out = []
-        for req in self.request_ids():
-            trace = self.trace(req)
-            if trace is not None:
-                out.append(trace)
-        return out
+
+def _with_rows(one: array, more: List[Tuple[int, int]]
+               ) -> Tuple[array, array, array]:
+    """Fold ``more``, the (span, entry) pairs beyond each span's first
+    entry in ``one``, into rows: a span with several entries gets
+    ``one[span] = -2 - row`` and row ``row`` lists all of them."""
+    rows = array("i")
+    off = array("i", [0])
+    more.sort()
+    last = -1
+    for pos, entry in more:
+        if pos != last:
+            if last != -1:
+                off.append(len(rows))
+            rows.append(one[pos])
+            one[pos] = -1 - len(off)
+            last = pos
+        rows.append(entry)
+    if last != -1:
+        off.append(len(rows))
+    return one, rows, off
 
 
 def _blame_of(path: List[Span],

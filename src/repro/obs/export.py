@@ -48,10 +48,7 @@ def chrome_trace_events(telemetry: Telemetry) -> List[dict]:
                 "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
                 "args": {"name": track},
             })
-        by_id: Dict[int, object] = {}
         for span in run.spans:
-            if span.span_id is not None:
-                by_id[span.span_id] = span
             event = {
                 "ph": "X" if span.end_ns is not None else "B",
                 "pid": pid,
@@ -66,7 +63,7 @@ def chrome_trace_events(telemetry: Telemetry) -> List[dict]:
             if args:
                 event["args"] = {k: str(v) for k, v in sorted(args.items())}
             events.append(event)
-        events.extend(_flow_events(run, pid, tids, by_id))
+        events.extend(_flow_events(run, pid, tids))
         events.extend(_counter_events(run, pid))
     return events
 
@@ -95,8 +92,7 @@ def _counter_events(run, pid: int) -> List[dict]:
     return events
 
 
-def _flow_events(run, pid: int, tids: Dict[str, int],
-                 by_id: Dict[int, object]) -> List[dict]:
+def _flow_events(run, pid: int, tids: Dict[str, int]) -> List[dict]:
     """Flow ``s``/``f`` pairs for cross-track causal edges of one run.
 
     Edges whose source span was evicted from the ring are silently
@@ -105,17 +101,19 @@ def _flow_events(run, pid: int, tids: Dict[str, int],
     """
     flows: List[dict] = []
     next_flow = 0
-    for span in run.spans:
-        if span.span_id is None:
-            continue
+    spans, refs, first = run.spans.positions()
+    stop = first + len(spans)
+    for span, ref in zip(spans, refs):
         preds = []
-        if span.parent_id is not None:
-            preds.append(span.parent_id)
-        if span.links:
-            preds.extend(span.links)
+        if ref.parent_id is not None:
+            preds.append(ref.parent_id)
+        if ref.links:
+            preds.extend(ref.links)
         for pred_id in preds:
-            src = by_id.get(pred_id)
-            if src is None or src.track == span.track:
+            if not first <= pred_id < stop:
+                continue
+            src = spans[pred_id - first]
+            if src.track == span.track:
                 continue
             next_flow += 1
             flow_id = pid * 1_000_000 + next_flow

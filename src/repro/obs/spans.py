@@ -22,7 +22,10 @@ pay -- so an instrumented run is numerically identical to a bare one.
 from __future__ import annotations
 
 import collections
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+import itertools
+import operator
+from typing import (Any, Deque, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -113,6 +116,23 @@ class Span:
                 f"{self.stage}{detail}")
 
 
+_span_id = operator.attrgetter("span_id")
+
+
+class _Renumbered:
+    """A span's references with each id replaced by its position in the
+    log (-1 for an id not in it); see :meth:`SpanLog.positions`."""
+
+    __slots__ = ("parent_id", "links", "req")
+
+    def __init__(self, span: Span, index: Dict[int, int]):
+        parent = span.parent_id
+        self.parent_id = None if parent is None else index.get(parent, -1)
+        self.links = (tuple(index.get(link, -1) for link in span.links)
+                      if span.links else None)
+        self.req = span.req
+
+
 class SpanLog:
     """Bounded span store: a ring keeping the newest ``capacity`` spans.
 
@@ -150,6 +170,30 @@ class SpanLog:
         if track is not None:
             out = [s for s in out if s.track == track]
         return out
+
+    def positions(self) -> Tuple[List[Span], Sequence[Any], int]:
+        """``(spans, refs, first)``: the spans that carry a span id, as a
+        list in record order, and how to find the spans they reference.
+
+        ``refs[pos]`` has the ``parent_id``, ``links`` and ``req`` of
+        ``spans[pos]``, with every id numbered so that span ``sid`` sits
+        at position ``sid - first``; an id outside
+        ``range(first, first + len(spans))`` is not in the log. A
+        recorded run numbers its spans 1, 2, ... in record order and the
+        ring only drops the oldest, so ``refs`` is ``spans`` itself and a
+        reference resolves by one subtraction. Only a log whose ids are
+        not dense and in record order (hand-appended spans, spans
+        without an id) is renumbered, through a ``{span_id: position}``
+        dict dropped on return.
+        """
+        spans = list(self._spans)
+        first = spans[0].span_id if spans else None
+        if first is not None and all(map(
+                operator.eq, map(_span_id, spans), itertools.count(first))):
+            return spans, spans, first
+        spans = [span for span in spans if span.span_id is not None]
+        index = {span.span_id: pos for pos, span in enumerate(spans)}
+        return spans, [_Renumbered(span, index) for span in spans], 0
 
     def stages(self) -> List[str]:
         return sorted({s.stage for s in self._spans})

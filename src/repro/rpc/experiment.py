@@ -183,8 +183,10 @@ def run_rpc_point(scenario: RpcScenario,
             task = GhostTask(service_ns=model.task_service_ns(request),
                              created_at=env.now, payload=request)
             yield env.timeout(NIC_SUBMIT_NS)
-            cost = channel.msg_ring.produce([Message(TASK_NEW, task)],
-                                            via=nic_local)
+            # The message carries the request's causal context, so the
+            # scheduling chain continues the ``rpc.request`` root.
+            cost = channel.msg_ring.produce(
+                [Message(TASK_NEW, task, ctx=request.ctx)], via=nic_local)
             yield env.timeout(cost)
     else:
         posted = _NicToHostPostedPath(machine.params)
@@ -194,8 +196,8 @@ def run_rpc_point(scenario: RpcScenario,
             task = GhostTask(service_ns=model.task_service_ns(request),
                              created_at=env.now, payload=request)
             yield env.timeout(NIC_SUBMIT_NS)
-            cost = channel.msg_ring.produce([Message(TASK_NEW, task)],
-                                            via=posted)
+            cost = channel.msg_ring.produce(
+                [Message(TASK_NEW, task, ctx=request.ctx)], via=posted)
             yield env.timeout(cost)
 
     stack_kwargs = {}

@@ -4,6 +4,7 @@ the partition observatory (repro.obs.causal + the span identity layer).
 
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -209,6 +210,44 @@ def test_unknown_request_returns_none():
     hub, _ = _hand_built_hub()
     graph = CausalGraph(hub.runs[0])
     assert graph.trace(999) is None
+
+
+# -- index memory ------------------------------------------------------------
+
+#: One request's chain after its root; the fourth hop is a batch span
+#: that also links the previous request's batch span.
+_CHAIN = ("msix.deliver", "ring.produce", "agent.loop", "ring.consume",
+          "agent.commit", "core.dispatch", "task.run")
+
+
+def test_index_retains_at_most_64_bytes_per_span():
+    """The causal index keeps flat columns over span positions, not
+    dicts keyed by span id: what a graph retains per span bounds the
+    analysis' memory on long traced runs."""
+    run = Telemetry().attach(Environment())
+    batch = None
+    for i in range(2_000):
+        span = run.span("sched.submit", "kernel", start_ns=10.0 * i,
+                        dur_ns=1.0, root=True)
+        for hop, stage in enumerate(_CHAIN):
+            links = [batch.span_id] if hop == 3 and batch else None
+            span = run.span(stage, f"t{hop}", start_ns=10.0 * i + hop + 1,
+                            dur_ns=1.0, ctx=run.ctx_after(span),
+                            links=links)
+            if hop == 3:
+                next_batch = span
+        batch = next_batch
+    assert len(run.spans) == 16_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = CausalGraph(run)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert graph.truncated == 0
+    assert graph.request_ids() == list(range(1, 2_001))
+    assert retained / len(run.spans) <= 64
 
 
 # -- end-to-end: a real sched deployment -------------------------------------

@@ -243,28 +243,58 @@ _span_specs = st.lists(st.tuples(
     _ref, st.one_of(st.none(), st.lists(st.integers(1, 26), min_size=1,
                                         max_size=3)),
     st.booleans()), min_size=1, max_size=24)
+#: How the log numbers its spans: None for 1, 2, ... in record order
+#: (the ids a recorded run has), else ``(offset, order)``: the ``k``-th
+#: span gets id ``offset + 1 + order[k - 1]``, the ids permuted out of
+#: record order and shifted off 1.
+_renumberings = st.one_of(st.none(), st.tuples(
+    st.integers(0, 40), st.permutations(range(24))))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_span_specs, st.sampled_from([6, 200]))
+@given(_span_specs, st.sampled_from([6, 200]), _renumberings)
 # A batch span with a severed parent on a request's critical path.
 @example([("sched.submit", 0, 5, 1, None, None, True),
           ("ring.consume", 5, 5, None, 26, [1], True),
-          ("task.run", 10, 10, 1, 2, None, True)], 200)
-def test_analysis_matches_reference_walk(specs, capacity):
+          ("task.run", 10, 10, 1, 2, None, True)], 200, None)
+# Ids in reverse record order: ties on the terminal's end, and on the
+# binding predecessor's end, go to the larger span id, which here is
+# the earlier-recorded span.
+@example([("sched.submit", 0, None, 1, None, None, True),
+          ("task.run", 0, None, 1, None, [1], True)], 200,
+         (0, list(reversed(range(24)))))
+@example([("sched.submit", 0, 1, 1, None, None, True),
+          ("agent.commit", 1, 4, 1, 1, None, True),
+          ("ring.consume", 2, 3, None, 1, None, True),
+          ("task.run", 5, 5, 1, 2, [3], True)], 200,
+         (0, list(reversed(range(24)))))
+def test_analysis_matches_reference_walk(specs, capacity, renumbering):
     """Random span graphs -- forward and dangling references, ties,
-    open spans, evictions, spans without identity -- analyse exactly
-    as the plain definition does, down to blame insertion order."""
+    open spans, evictions, spans without identity, ids out of record
+    order -- analyse exactly as the plain definition does, down to
+    blame insertion order."""
+    count = len(specs)
+    if renumbering is None:
+        offset, order = 0, range(count)
+    else:
+        offset, order = renumbering
+        order = [k for k in order if k < count]
+    # References to spans of the log follow their renumbering; the
+    # rest (ids past the last span) stay outside the log's ids.
+    span_id = {k: offset + 1 + order[k - 1] if k <= count else offset + k
+               for k in range(1, 27)}
     hub = Telemetry(span_capacity=capacity)
     run = hub.attach(Environment())
-    for sid, (stage, begin, dur, req, parent, links, ident) in \
+    for k, (stage, begin, dur, req, parent, links, ident) in \
             enumerate(specs, start=1):
         end = None if dur is None else float(begin + dur)
         run.spans.append(Span(
             stage, "t", float(begin), end,
-            {"where": "smartnic"} if sid % 2 else None,
-            sid if ident else None, parent,
-            tuple(links) if links else None, req))
+            {"where": "smartnic"} if k % 2 else None,
+            span_id[k] if ident else None,
+            None if parent is None else span_id[parent],
+            tuple(span_id[link] for link in links) if links else None,
+            req))
     traces, truncated = request_traces(hub)
     assert (truncated, [(t.run_label, t.req, t.latency_ns, t.partial,
                          [s.span_id for s in t.path],

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw import HwParams, Machine
 from repro.obs import Telemetry
+from repro.obs.causal import request_traces
 from repro.rpc import experiment as rpc_experiment
 from repro.rpc import (
     GET_SLO_NS,
@@ -140,6 +141,24 @@ class TestRpcExperiment:
             request = tasks[span.args["tid"]].payload
             assert span.begin_ns > 0
             assert span.begin_ns >= request.arrival_ns
+
+    @pytest.mark.parametrize("scenario", list(RpcScenario))
+    def test_scheduling_chain_continues_the_rpc_request(self, scenario):
+        """Wherever the stack creates the task, its scheduling chain
+        stays in the request its ``rpc.request`` root minted: one causal
+        request per RPC, not a second one minted at ``agent.commit``."""
+        with Telemetry() as hub:
+            run_rpc_point(scenario, True, 100_000, duration_ns=2_000_000,
+                          warmup_ns=0)
+        spans = hub.runs[0].spans
+        rpc_reqs = {span.req for span in spans.spans("rpc.request")}
+        queued = spans.spans("sched.queue")
+        assert len(queued) > 100
+        assert all(span.req in rpc_reqs for span in queued)
+        traces, truncated = request_traces(hub)
+        assert truncated == 0
+        assert {trace.req for trace in traces} == rpc_reqs
+        assert all(trace.path[0].stage == "rpc.request" for trace in traces)
 
     def test_worker_core_override(self):
         result = run_rpc_point(RpcScenario.OFFLOAD_ALL, False, 50_000,
