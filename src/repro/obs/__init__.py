@@ -28,7 +28,14 @@ from repro.obs.metrics import (
     TimeWeightedMetric,
     render_key,
 )
-from repro.obs.spans import RunTelemetry, Span, SpanCtx, SpanLog, Telemetry
+from repro.obs.spans import (
+    RunTelemetry,
+    Span,
+    SpanCtx,
+    SpanHandle,
+    SpanLog,
+    Telemetry,
+)
 from repro.obs.shard import RunShard, TelemetryShard, absorb_into, shard_from
 from repro.obs.causal import (
     CausalGraph,
@@ -78,6 +85,7 @@ __all__ = [
     "RunShard",
     "Span",
     "SpanCtx",
+    "SpanHandle",
     "SpanLog",
     "CausalGraph",
     "RequestTrace",

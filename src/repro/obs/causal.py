@@ -35,18 +35,17 @@ from bisect import bisect_left
 from itertools import accumulate, chain
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.spans import Span, Telemetry
+from repro.obs.spans import _NONE, Span, SpanLog, Telemetry
 
 #: Layer order for tables (totals render in this order).
 LAYERS = ("host-cpu", "pcie", "nic-core", "ring", "sched-policy",
           "fault", "wait", "other")
 
 
-def layer_of(span: Span) -> str:
-    """Map one span's stage (and args) to its resource layer."""
-    stage = span.stage
+def _layer(stage: str, where) -> str:
+    """The resource layer of a stage; ``where`` (an ``rpc.*`` span's
+    placement attribute) places RPC handlers."""
     if stage.startswith("rpc."):
-        where = (span.args or {}).get("where")
         return "nic-core" if where == "smartnic" else "host-cpu"
     if stage == "sched.queue":
         return "sched-policy"
@@ -63,18 +62,25 @@ def layer_of(span: Span) -> str:
     return "other"
 
 
+def layer_of(span: Span) -> str:
+    """Map one span's stage (and args) to its resource layer."""
+    return _layer(span.stage, (span.args or {}).get("where"))
+
+
 class RequestTrace:
     """One request's reconstructed causal trace."""
 
     __slots__ = ("run_label", "req", "path", "latency_ns", "blame",
-                 "partial")
+                 "partial", "log")
 
-    def __init__(self, run_label: str, req: int, path: List[Span],
+    def __init__(self, run_label: str, req: int, path: array,
                  latency_ns: float, blame: Dict[str, float],
-                 partial: bool):
+                 partial: bool, log: SpanLog):
         self.run_label = run_label
         self.req = req
-        #: Critical path, causally ordered root -> terminal.
+        #: Critical path, causally ordered root -> terminal, as
+        #: positions in ``log`` (see :meth:`path_spans`), valid until
+        #: the log evicts more spans.
         self.path = path
         self.latency_ns = latency_ns
         #: Per-layer ns attribution along the path (sums to latency).
@@ -82,6 +88,14 @@ class RequestTrace:
         #: True when ring eviction (or stage filtering) severed part of
         #: the chain: the path covers only the surviving suffix.
         self.partial = partial
+        #: The log the path's positions index: the run's own, or the
+        #: renumbered copy :meth:`~repro.obs.spans.SpanLog.positions`
+        #: made of it.
+        self.log = log
+
+    def path_spans(self) -> List[Span]:
+        """The critical path's spans, built from the log on demand."""
+        return [self.log.span_at(pos) for pos in self.path]
 
     def __repr__(self) -> str:
         return (f"<RequestTrace {self.run_label} req={self.req} "
@@ -93,9 +107,9 @@ class CausalGraph:
     """All causal graphs of one run, indexed from its span log.
 
     The index is positional: a span is its place in the log
-    (:meth:`~repro.obs.spans.SpanLog.positions`), and every parent and
-    link reference is resolved to a position once, here. Besides the
-    list of spans it is kept in flat ``array('i')`` columns:
+    (:meth:`~repro.obs.spans.SpanLog.positions`), whose columns it
+    reads directly, and every parent and link reference is resolved to
+    a position once, here. It is kept in flat ``array('i')`` columns:
 
     - ``_pred[pos]`` and ``_child[pos]`` are a span's one predecessor
       (its parent or its link) and its one child, -1 for none. A span
@@ -113,10 +127,14 @@ class CausalGraph:
 
     def __init__(self, run):
         self.run = run
-        spans, refs, first = run.spans.positions()
-        self._spans = spans
-        n = len(spans)
+        log, first = run.spans.positions()
+        self._log = log
+        n = len(log)
         stop = first + n
+        parents = log._parent
+        reqs = log._req
+        links = log._links
+        link_base = log._links_base
         pred = array("i", [-1]) * n
         child = array("i", [-1]) * n
         # Entries beyond a span's first predecessor / first child, as
@@ -124,10 +142,17 @@ class CausalGraph:
         more_preds, more_children = [], []
         severed = []  # one entry per reference to a span not in the log
         members = {}  # request id -> member positions, in record order
-        for pos, ref in enumerate(refs):
-            ids = ref.links
-            if ref.parent_id is not None:
-                ids = (ref.parent_id,) + ids if ids else (ref.parent_id,)
+        lo = log._link_off[0] - link_base
+        for pos, parent, req, hi in zip(range(n), parents, reqs,
+                                        log._link_off[1:]):
+            hi -= link_base
+            if hi > lo:
+                ids = links[lo:hi]
+                if parent != _NONE:
+                    ids = (parent, *ids)
+            else:
+                ids = (parent,) if parent != _NONE else ()
+            lo = hi
             if ids:
                 has_pred = False
                 for sid in ids:
@@ -144,8 +169,7 @@ class CausalGraph:
                         child[at] = pos
                     else:
                         more_children.append((at, pos))
-            req = ref.req
-            if req is not None:
+            if req != _NONE:
                 mine = members.get(req)
                 if mine is None:
                     members[req] = [pos]
@@ -153,8 +177,8 @@ class CausalGraph:
                     mine.append(pos)
         self.truncated = len(severed)
         self._severed = set(severed)
-        self._partial_reqs = {spans[pos].req for pos in self._severed}
-        self._partial_reqs.discard(None)
+        self._partial_reqs = {reqs[pos] for pos in self._severed}
+        self._partial_reqs.discard(_NONE)
         self._pred, self._pred_rows, self._pred_off = \
             _with_rows(pred, more_preds)
         self._child, self._child_rows, self._child_off = \
@@ -166,10 +190,9 @@ class CausalGraph:
         for req, row in zip(req_ids, rows):
             # Root: the earliest span of the request with no surviving
             # parent (the minted root, or the surviving suffix head
-            # after eviction severed the chain).
+            # after eviction severed the chain; _NONE is below every id).
             for pos in row:
-                parent = refs[pos].parent_id
-                if parent is None or not first <= parent < stop:
+                if not first <= parents[pos] < stop:
                     break
             else:
                 # Pure cycle through links (never produced by the
@@ -182,6 +205,11 @@ class CausalGraph:
         self._roots = array("i", roots)
         self._req_off = array("i", accumulate(map(len, rows), initial=0))
         self._members = array("i", chain.from_iterable(rows))
+        # Each stage's layer, or None for ``rpc.*`` stages, whose layer
+        # depends on the span's ``where`` attribute.
+        self._stage_layers = [
+            None if name.startswith("rpc.") else _layer(name, None)
+            for name in log._stage_names]
 
     def request_ids(self) -> List[int]:
         return self._req_ids.tolist()
@@ -199,11 +227,12 @@ class CausalGraph:
 
     def _trace(self, k: int) -> RequestTrace:
         """The trace of the ``k``-th request in id order."""
-        spans = self._spans
+        log = self._log
+        begins = log._begin
+        ends = log._end
+        sids = log._sid
         root = self._roots[k]
-        # Read off the root span, the memoized trace shares the span's
-        # int object; one read from the array would be a new one.
-        req = spans[root].req
+        req = self._req_ids[k]
         # Forward reachability from the root bounds the terminal
         # choice: a batch span may link spans of *other* requests into
         # its subtree, so the terminal must both carry this request id
@@ -225,27 +254,28 @@ class CausalGraph:
                 row = -2 - nxt
                 stack.extend(child_rows[child_off[row]:child_off[row + 1]])
         # The terminal is the reachable span that finished last (ties:
-        # the later-recorded one). The root itself is reachable, so
-        # there always is one. The same pass collects the request's
-        # ``sched.queue`` intervals, reachable or not.
+        # the larger span id). The root itself is reachable, so there
+        # always is one. The same pass collects the request's
+        # ``sched.queue`` intervals, reachable or not; an open span
+        # (NaN end) counts as ending where it began.
+        queue = log._stage_index.get("sched.queue", -1)
+        stages = log._stage
         queued = []
-        terminal = None
+        terminal = -1
         for pos in self._members[self._req_off[k]:self._req_off[k + 1]]:
-            span = spans[pos]
-            end = span.end_ns
-            if end is None:
-                end = span.begin_ns
-            if span.stage == "sched.queue":
-                queued.append((span.begin_ns, end))
+            end = ends[pos]
+            if end != end:
+                end = begins[pos]
+            if stages[pos] == queue:
+                queued.append((begins[pos], end))
             if pos not in reachable:
                 continue
-            if (terminal is None or end > best_end
-                    or (end == best_end
-                        and span.span_id > terminal.span_id)):
-                terminal, cursor, best_end = span, pos, end
+            if (terminal < 0 or end > best_end
+                    or (end == best_end and sids[pos] > sids[terminal])):
+                terminal, best_end = pos, end
         # Walk back from the terminal, always via the predecessor that
         # finished last (the binding dependency; ties again go to the
-        # later-recorded span) -- but only through spans reachable from
+        # larger span id) -- but only through spans reachable from
         # this request's root: batch spans fan in edges from *other*
         # requests' chains, and following those would splice a
         # stranger's history into this path.
@@ -254,7 +284,8 @@ class CausalGraph:
         pred_off = self._pred_off
         severed = self._severed
         partial = req in self._partial_reqs
-        path = [terminal]
+        cursor = terminal
+        path = array("i", [terminal])
         seen = {cursor}
         while True:
             if cursor in severed:
@@ -269,28 +300,75 @@ class CausalGraph:
                 break
             else:
                 row = -2 - ref
-                best = None
+                best = -1
                 for pos in pred_rows[pred_off[row]:pred_off[row + 1]]:
                     if pos in seen or pos not in reachable:
                         continue
-                    span = spans[pos]
-                    end = span.end_ns
-                    if end is None:
-                        end = span.begin_ns
-                    if (best is None or end > best_end
-                            or (end == best_end
-                                and span.span_id > best.span_id)):
-                        best, cursor, best_end = span, pos, end
-                if best is None:
+                    end = ends[pos]
+                    if end != end:
+                        end = begins[pos]
+                    if (best < 0 or end > best_end
+                            or (end == best_end and sids[pos] > sids[best])):
+                        best, best_end = pos, end
+                if best < 0:
                     break
+                cursor = best
             seen.add(cursor)
-            path.append(spans[cursor])
+            path.append(cursor)
         path.reverse()
-        end = terminal.end_ns if terminal.end_ns is not None \
-            else terminal.begin_ns
-        latency = max(0.0, end - path[0].begin_ns)
+        end = ends[terminal]
+        if end != end:
+            end = begins[terminal]
+        latency = max(0.0, end - begins[path[0]])
         return RequestTrace(self.run.label, req, path, latency,
-                            _blame_of(path, queued), partial)
+                            self._blame(path, queued), partial, log)
+
+    def _blame(self, path: array,
+               queued: List[Tuple[float, float]]) -> Dict[str, float]:
+        """Attribute the path's elapsed time to layers.
+
+        A sequential sweep along the causally ordered path: each span
+        is charged only for the part of its interval beyond the time
+        already accounted for (overlapping retro-spans such as
+        ``sched.queue`` never double-count), and gaps no span covers go
+        to ``wait`` -- except the part of a gap overlapping the
+        request's own ``sched.queue`` interval, which is time spent
+        awaiting a scheduling decision and is charged to
+        ``sched-policy``.
+        """
+        log = self._log
+        begins = log._begin
+        ends = log._end
+        stages = log._stage
+        stage_layers = self._stage_layers
+        blame: Dict[str, float] = {}
+        cursor = begins[path[0]]
+        for pos in path:
+            begin = begins[pos]
+            end = ends[pos]
+            if end != end:
+                end = begin
+            if begin > cursor:
+                remaining = begin - cursor
+                if queued:
+                    covered = 0.0
+                    for qb, qe in queued:
+                        covered += max(0.0, min(begin, qe) - max(cursor, qb))
+                    covered = min(covered, remaining)
+                    if covered:
+                        blame["sched-policy"] = (
+                            blame.get("sched-policy", 0.0) + covered)
+                        remaining -= covered
+                if remaining:
+                    blame["wait"] = blame.get("wait", 0.0) + remaining
+                cursor = begin
+            if end > cursor:
+                stage = stages[pos]
+                layer = stage_layers[stage] or _layer(
+                    log._stage_names[stage], log._arg(pos, "where"))
+                blame[layer] = blame.get(layer, 0.0) + (end - cursor)
+                cursor = end
+        return blame
 
 
 def _with_rows(one: array, more: List[Tuple[int, int]]
@@ -313,45 +391,6 @@ def _with_rows(one: array, more: List[Tuple[int, int]]
     if last != -1:
         off.append(len(rows))
     return one, rows, off
-
-
-def _blame_of(path: List[Span],
-              queued: Optional[List[Tuple[float, float]]] = None
-              ) -> Dict[str, float]:
-    """Attribute the path's elapsed time to layers.
-
-    A sequential sweep along the causally ordered path: each span is
-    charged only for the part of its interval beyond the time already
-    accounted for (overlapping retro-spans such as ``sched.queue``
-    never double-count), and gaps no span covers go to ``wait`` --
-    except the part of a gap overlapping the request's own
-    ``sched.queue`` interval, which is time spent awaiting a scheduling
-    decision and is charged to ``sched-policy``.
-    """
-    blame: Dict[str, float] = {}
-    cursor = path[0].begin_ns
-    for span in path:
-        begin = span.begin_ns
-        end = span.end_ns if span.end_ns is not None else begin
-        if begin > cursor:
-            remaining = begin - cursor
-            if queued:
-                covered = 0.0
-                for qb, qe in queued:
-                    covered += max(0.0, min(begin, qe) - max(cursor, qb))
-                covered = min(covered, remaining)
-                if covered:
-                    blame["sched-policy"] = (blame.get("sched-policy", 0.0)
-                                             + covered)
-                    remaining -= covered
-            if remaining:
-                blame["wait"] = blame.get("wait", 0.0) + remaining
-            cursor = begin
-        if end > cursor:
-            layer = layer_of(span)
-            blame[layer] = blame.get(layer, 0.0) + (end - cursor)
-            cursor = end
-    return blame
 
 
 def request_traces(telemetry: Telemetry) -> Tuple[List[RequestTrace], int]:
@@ -495,7 +534,7 @@ def critical_path_section(traces: List[RequestTrace],
            f"({rep.run_label}, req {rep.req}, "
            f"{_fmt_us(rep.latency_ns)} us"
            f"{', partial' if rep.partial else ''})", ""]
-    for span in rep.path:
+    for span in rep.path_spans():
         end = span.end_ns if span.end_ns is not None else span.begin_ns
         out.append(f"- `{span.stage}` [{layer_of(span)}] on "
                    f"{span.track}: t={span.begin_ns / 1e3:.2f} us "
@@ -559,11 +598,7 @@ def analyze_report(telemetry: Telemetry, title: str = "causal analysis",
                    percentile: float = 99.0) -> str:
     """The full ``python -m repro analyze`` Markdown report."""
     out: List[str] = [f"# {title}", ""]
-    with_ids = 0
-    for run in telemetry.runs:
-        for span in run.spans:
-            if span.span_id is not None:
-                with_ids += 1
+    with_ids = sum(run.spans.identified() for run in telemetry.runs)
     out.append(f"- runs: {len(telemetry.runs)}")
     out.append(f"- spans with causal identity: {with_ids}")
     table = blame_table(telemetry)

@@ -26,49 +26,61 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List
+from typing import Iterator, List
 
-from repro.obs.spans import Telemetry
+from repro.obs.spans import _NONE, Telemetry
 
 
 def chrome_trace_events(telemetry: Telemetry) -> List[dict]:
     """The ``traceEvents`` array for one telemetry hub."""
-    events: List[dict] = []
+    return list(_trace_events(telemetry))
+
+
+def _trace_events(telemetry: Telemetry) -> Iterator[dict]:
+    """The ``traceEvents`` array, one event at a time, read straight
+    from each run's span columns."""
     for run in telemetry.runs:
         pid = run.run_index + 1
-        events.append({
+        yield {
             "ph": "M", "pid": pid, "tid": 0, "name": "process_name",
             "args": {"name": run.label},
-        })
-        tids: Dict[str, int] = {}
-        for track in run.spans.tracks():
-            tid = len(tids) + 1
-            tids[track] = tid
-            events.append({
+        }
+        log = run.spans
+        log.compact()
+        # Thread ids follow the sorted retained track names; tids maps
+        # each entry of the log's track table to its thread id.
+        tids = [0] * len(log._track_names)
+        for tid, track in enumerate(log.tracks(), start=1):
+            tids[log._track_index[track]] = tid
+            yield {
                 "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
                 "args": {"name": track},
-            })
-        for span in run.spans:
-            event = {
-                "ph": "X" if span.end_ns is not None else "B",
-                "pid": pid,
-                "tid": tids[span.track],
-                "name": span.stage,
-                "cat": span.stage.split(".", 1)[0],
-                "ts": span.begin_ns / 1000.0,
             }
-            if span.end_ns is not None:
-                event["dur"] = span.duration_ns / 1000.0
-            args = span.args
+        names = log._stage_names
+        cats = [name.split(".", 1)[0] for name in names]
+        ends = log._end
+        for slot, (stage, track, begin) in enumerate(
+                zip(log._stage, log._track, log._begin)):
+            end = ends[slot]
+            event = {
+                "ph": "X" if end == end else "B",
+                "pid": pid,
+                "tid": tids[track],
+                "name": names[stage],
+                "cat": cats[stage],
+                "ts": begin / 1000.0,
+            }
+            if end == end:
+                event["dur"] = (end - begin) / 1000.0
+            args = log._args(slot)
             if args:
                 event["args"] = {k: str(v) for k, v in sorted(args.items())}
-            events.append(event)
-        events.extend(_flow_events(run, pid, tids))
-        events.extend(_counter_events(run, pid))
-    return events
+            yield event
+        yield from _flow_events(run, pid, tids)
+        yield from _counter_events(run, pid)
 
 
-def _counter_events(run, pid: int) -> List[dict]:
+def _counter_events(run, pid: int) -> Iterator[dict]:
     """Perfetto counter tracks (``ph:"C"``) from the run's timeline.
 
     One counter event per sample per series, in sorted series order;
@@ -77,68 +89,91 @@ def _counter_events(run, pid: int) -> List[dict]:
     """
     timeline = getattr(run, "timeline", None)
     if timeline is None:
-        return []
-    events: List[dict] = []
+        return
     for name in sorted(timeline.series):
         series = timeline.series[name]
         for t, v in zip(series.times, series.values):
             if v is None:
                 continue
-            events.append({
+            yield {
                 "ph": "C", "pid": pid, "tid": 0, "name": name,
                 "cat": "timeline", "ts": t / 1000.0,
                 "args": {"value": v},
-            })
-    return events
+            }
 
 
-def _flow_events(run, pid: int, tids: Dict[str, int]) -> List[dict]:
-    """Flow ``s``/``f`` pairs for cross-track causal edges of one run.
+def _flow_events(run, pid: int, tids: List[int]) -> Iterator[dict]:
+    """Flow ``s``/``f`` pairs for cross-track causal edges of one run;
+    ``tids`` maps the log's track indices to thread ids.
 
     Edges whose source span was evicted from the ring are silently
     skipped (the analyzer separately reports the truncation); same-track
     edges are skipped too -- nesting already shows them.
     """
-    flows: List[dict] = []
     next_flow = 0
-    spans, refs, first = run.spans.positions()
-    stop = first + len(spans)
-    for span, ref in zip(spans, refs):
+    log, first = run.spans.positions()
+    # A renumbered copy (positions() of a log with ids out of record
+    # order) has a track table of its own.
+    if log is not run.spans:
+        tids = [tids[run.spans._track_index[track]]
+                for track in log._track_names]
+    stop = first + len(log)
+    tracks = log._track
+    begins = log._begin
+    ends = log._end
+    for pos in range(len(log)):
         preds = []
-        if ref.parent_id is not None:
-            preds.append(ref.parent_id)
-        if ref.links:
-            preds.extend(ref.links)
+        parent = log._parent[pos]
+        if parent != _NONE:
+            preds.append(parent)
+        links = log._link_ids(pos)
+        if links:
+            preds.extend(links)
+        track = tracks[pos]
         for pred_id in preds:
             if not first <= pred_id < stop:
                 continue
-            src = spans[pred_id - first]
-            if src.track == span.track:
+            src = pred_id - first
+            if tracks[src] == track:
                 continue
             next_flow += 1
             flow_id = pid * 1_000_000 + next_flow
-            src_end = src.end_ns if src.end_ns is not None else src.begin_ns
-            flows.append({
-                "ph": "s", "pid": pid, "tid": tids[src.track],
+            src_end = ends[src]
+            if src_end != src_end:
+                src_end = begins[src]
+            yield {
+                "ph": "s", "pid": pid, "tid": tids[tracks[src]],
                 "name": "causal", "cat": "causal", "id": flow_id,
                 "ts": src_end / 1000.0,
-            })
-            flows.append({
-                "ph": "f", "bp": "e", "pid": pid, "tid": tids[span.track],
+            }
+            yield {
+                "ph": "f", "bp": "e", "pid": pid, "tid": tids[track],
                 "name": "causal", "cat": "causal", "id": flow_id,
-                "ts": span.begin_ns / 1000.0,
-            })
-    return flows
+                "ts": begins[pos] / 1000.0,
+            }
 
 
 def write_chrome_trace(telemetry: Telemetry, path: str) -> int:
     """Write the trace JSON; returns the number of span events
-    (completed ``X`` plus still-open ``B``)."""
-    events = chrome_trace_events(telemetry)
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
+    (completed ``X`` plus still-open ``B``).
+
+    The ``traceEvents`` array is streamed one event at a time; the
+    bytes are those ``json.dump`` writes for the whole payload.
+    """
+    spans = 0
     with open(path, "w") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-    return sum(1 for e in events if e.get("ph") in ("X", "B"))
+        handle.write('{"traceEvents":[')
+        for k, event in enumerate(_trace_events(telemetry)):
+            if k:
+                handle.write(",")
+            handle.write(_encode(event))
+            if event["ph"] in ("X", "B"):
+                spans += 1
+        handle.write('],"displayTimeUnit":"ns"}')
+    return spans
+
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def metrics_dump(telemetry: Telemetry) -> str:

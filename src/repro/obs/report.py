@@ -38,13 +38,17 @@ def stage_breakdown(telemetry: Telemetry) -> List[tuple]:
     sorted by total time descending."""
     stats = {}
     for run in telemetry.runs:
-        for span in run.spans:
-            if span.end_ns is None:
+        log = run.spans
+        log.compact()
+        names = log._stage_names
+        for stage, begin, end in zip(log._stage, log._begin, log._end):
+            if end != end:  # still open
                 continue
-            stat = stats.get(span.stage)
+            name = names[stage]
+            stat = stats.get(name)
             if stat is None:
-                stat = stats[span.stage] = LatencyStats(span.stage)
-            stat.record(span.end_ns - span.begin_ns)
+                stat = stats[name] = LatencyStats(name)
+            stat.record(end - begin)
     rows = []
     for stage, stat in stats.items():
         rows.append((stage, stat.count, stat.mean / 1e3, stat.p50 / 1e3,
@@ -57,9 +61,11 @@ def fault_timeline(telemetry: Telemetry) -> List[str]:
     """Chronological fault events across all runs (empty if none)."""
     entries = []
     for run in telemetry.runs:
-        for span in run.spans:
-            if span.stage.startswith("fault."):
-                entries.append((run.run_index, span.begin_ns, span))
+        log = run.spans
+        faults = [stage for stage in log.stages()
+                  if stage.startswith("fault.")]
+        for span in log.spans_of(faults):
+            entries.append((run.run_index, span.begin_ns, span))
     entries.sort(key=lambda e: (e[0], e[1]))
     lines = []
     for run_index, _, span in entries:

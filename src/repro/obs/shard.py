@@ -13,8 +13,8 @@ What travels in a shard:
 
 - every run's :class:`~repro.obs.metrics.MetricsRegistry` (counters,
   gauges, histogram buckets; time-weighted metrics freeze on pickling),
-- every run's :class:`~repro.obs.spans.SpanLog` (the span stream, plus
-  recorded/evicted bookkeeping),
+- every run's :class:`~repro.obs.spans.SpanLog` (its span columns,
+  compacted before pickling, plus the recorded count),
 - the worker's :class:`~repro.obs.profile.LoopProfiler` state (calls
   and CPU self time per function), when the parent hub profiles, and
 - the total simulator events scheduled (for the sweep progress line's

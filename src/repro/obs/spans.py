@@ -21,11 +21,9 @@ pay -- so an instrumented run is numerically identical to a bare one.
 
 from __future__ import annotations
 
-import collections
-import itertools
-import operator
-from typing import (Any, Deque, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from array import array
+from itertools import accumulate, chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -64,10 +62,10 @@ class Span:
     with the environment, so sharded ``--jobs`` sweeps reproduce the
     exact ids of a serial run.
 
-    Attributes are stored flat, ``(k1, v1, k2, v2, ...)`` or None: one
-    attribute costs a 56-byte tuple where a dict costs 184 bytes
-    (CPython 3.11), and a long run keeps millions of spans. :attr:`args`
-    reads them back.
+    A span is a value: :class:`SpanLog` stores spans in columns and
+    builds one only when it is read, so reports and analyses that walk
+    a whole log build none. Attributes are kept flat, ``(k1, v1, k2,
+    v2, ...)`` or None; :attr:`args` reads them back as a fresh dict.
     """
 
     __slots__ = ("stage", "track", "begin_ns", "end_ns", "_attrs",
@@ -116,90 +114,487 @@ class Span:
                 f"{self.stage}{detail}")
 
 
-_span_id = operator.attrgetter("span_id")
+#: The id columns' stand-in for None (no span id, parent or request).
+_NONE = -(1 << 63)
+#: The end column's stand-in for None (a span still open).
+_OPEN = float("nan")
+#: Spans recorded since the last flush wait as rows until there are
+#: this many; then they enter the columns in one batch.
+_BATCH = 512
+#: A pending row's fields: every one but the attributes dict already
+#: in its column's form (name-table indices, sentinels for None, the
+#: links' end offset into ``_links``).
+(_STAGE, _TRACK, _BEGIN, _END, _ARGS, _SID, _PARENT, _LINK_END,
+ _REQ) = range(9)
 
 
-class _Renumbered:
-    """A span's references with each id replaced by its position in the
-    log (-1 for an id not in it); see :meth:`SpanLog.positions`."""
+def _id(value: int) -> Optional[int]:
+    return None if value == _NONE else value
 
-    __slots__ = ("parent_id", "links", "req")
 
-    def __init__(self, span: Span, index: Dict[int, int]):
-        parent = span.parent_id
-        self.parent_id = None if parent is None else index.get(parent, -1)
-        self.links = (tuple(index.get(link, -1) for link in span.links)
-                      if span.links else None)
-        self.req = span.req
+def _where(column: array, value: int) -> List[int]:
+    """The slots of ``column`` that hold ``value``, in order (a C-level
+    scan between matches)."""
+    slots = []
+    at = -1
+    try:
+        while True:
+            at = column.index(value, at + 1)
+            slots.append(at)
+    except ValueError:
+        return slots
+
+
+def _intern(name, names: list, index: dict) -> int:
+    """Add ``name`` to a log's name table; returns its index."""
+    index[name] = at = len(names)
+    names.append(name)
+    return at
 
 
 class SpanLog:
-    """Bounded span store: a ring keeping the newest ``capacity`` spans.
+    """Bounded span store: a ring keeping the newest ``capacity`` spans,
+    in typed columns instead of one object per span.
+
+    Slot ``s`` of every column describes one span:
+
+    - ``_begin``/``_end``: ``array('d')`` times, ``_end`` NaN while open;
+    - ``_sid``/``_parent``/``_req``: ``array('q')`` ids, ``_NONE`` for None;
+    - ``_stage``/``_track``: indices into ``_stage_names``/``_track_names``;
+    - links: ``_links[_link_off[s] - _links_base:_link_off[s + 1] -
+      _links_base]``, one flat id array with CSR offsets;
+    - attributes: ``_key_tuples[_keys[s]]`` (interned key tuples, ``()``
+      for none) paired with as many entries of the flat ``_values`` list
+      from ``_value_at[s] - _values_base``; values are kept as given,
+      so ``True`` stays ``True``.
+
+    Offsets into ``_links``/``_values`` are absolute, so dropping a
+    prefix of either only moves its base. ``_base`` is the record index
+    of slot 0: the span recorded ``seq``-th lives in slot ``seq -
+    _base``.
+
+    Writing is batched. A recorded span first waits in ``_pending`` as
+    one row, a list of its column values; :meth:`_flush` moves every
+    ``_BATCH`` rows into the columns with one bulk array operation per
+    column, which costs less per span than appending to every column
+    one span at a time. Closing a span, or a :class:`SpanHandle` write,
+    updates its row while it waits. Eviction is lazy too: the ring's contents are defined by
+    the counts alone (the newest ``min(recorded, capacity)`` spans), and
+    the slots of evicted spans are dropped once they are an eighth of
+    the capacity. :meth:`compact` does both now; every read that walks
+    the columns calls it first, so that slot ``pos`` is the ``pos``-th
+    retained span.
 
     ``recorded`` counts every span ever appended, ``evicted`` those
-    displaced by newer ones once the ring filled.
-    :meth:`RunTelemetry.span` and :meth:`RunTelemetry.begin` append
-    inline, with the same bookkeeping as :meth:`append`.
+    displaced by newer ones once the ring filled. :class:`Span` is only
+    the read (and :meth:`append`) type, built on demand.
     """
 
     def __init__(self, capacity: int = 200_000):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._spans: Deque[Span] = collections.deque(maxlen=capacity)
+        self.capacity = capacity
         self.recorded = 0
-        #: Spans displaced by newer ones once the ring filled.
-        self.evicted = 0
+        self._pending: List[list] = []
+        self._base = 0
+        self._begin = array("d")
+        self._end = array("d")
+        self._sid = array("q")
+        self._parent = array("q")
+        self._req = array("q")
+        self._stage = array("i")
+        self._track = array("i")
+        self._link_off = array("q", [0])
+        self._links = array("q")
+        self._links_base = 0
+        self._links_end = 0  # absolute offset past the last link
+        self._keys = array("i")
+        self._value_at = array("q")
+        self._values: List[Any] = []
+        self._values_base = 0
+        self._stage_names: List[str] = []
+        self._stage_index: Dict[str, int] = {}
+        self._track_names: List[str] = []
+        self._track_index: Dict[str, int] = {}
+        self._key_tuples: List[Tuple[str, ...]] = [()]
+        self._key_index: Dict[Tuple[str, ...], int] = {(): 0}
+
+    # -- writing ------------------------------------------------------------
+
+    def _record(self, stage: str, track: str, begin: float,
+                end: Optional[float], args: Dict[str, Any],
+                sid: Optional[int], parent: Optional[int],
+                links: Optional[Iterable[int]], req: Optional[int]) -> int:
+        """Record one span, evicting the oldest once the ring is full;
+        returns its record index. ``args`` must be a dict the log may
+        keep (empty for no attributes); ``links`` is copied."""
+        stage_at = self._stage_index.get(stage)
+        if stage_at is None:
+            stage_at = _intern(stage, self._stage_names, self._stage_index)
+        track_at = self._track_index.get(track)
+        if track_at is None:
+            track_at = _intern(track, self._track_names, self._track_index)
+        if links:
+            self._links.extend(links)
+            self._links_end = self._links_base + len(self._links)
+        pending = self._pending
+        pending.append([
+            stage_at, track_at, begin, _OPEN if end is None else end, args,
+            _NONE if sid is None else sid,
+            _NONE if parent is None else parent, self._links_end,
+            _NONE if req is None else req])
+        seq = self.recorded
+        self.recorded = seq + 1
+        if len(pending) >= _BATCH:
+            self._flush()
+        return seq
+
+    def _flush(self) -> None:
+        """Move the pending rows into the columns, then drop evicted
+        slots once they are an eighth of the capacity."""
+        rows = self._pending
+        if not rows:
+            return
+        self._pending = []
+        (stages, tracks, begins, ends, args, sids, parents, link_ends,
+         reqs) = zip(*rows)
+        del rows
+        for column, batch in ((self._stage, stages), (self._track, tracks),
+                              (self._begin, begins), (self._end, ends),
+                              (self._sid, sids), (self._parent, parents),
+                              (self._link_off, link_ends),
+                              (self._req, reqs)):
+            column.extend(array(column.typecode, batch))
+        keys = list(map(tuple, args))
+        index = self._key_index
+        for key in dict.fromkeys(keys):  # first occurrence order
+            if key not in index:
+                _intern(key, self._key_tuples, index)
+        self._keys.extend(array("i", list(map(index.__getitem__, keys))))
+        values = self._values
+        self._value_at.extend(array("q", list(accumulate(
+            map(len, keys[:-1]), initial=self._values_base + len(values)))))
+        values.extend(chain.from_iterable(map(dict.values, args)))
+        if self._evicted_slots() > self.capacity >> 3:
+            self._drop_evicted()
+
+    @property
+    def evicted(self) -> int:
+        """Spans displaced by newer ones once the ring filled."""
+        return max(0, self.recorded - self.capacity)
+
+    def _evicted_slots(self) -> int:
+        """Slots at the head of the columns that hold evicted spans."""
+        return self.recorded - len(self) - self._base
+
+    def _drop_evicted(self) -> None:
+        cut = self._evicted_slots()
+        if cut <= 0:
+            return
+        for column in (self._begin, self._end, self._sid, self._parent,
+                       self._req, self._stage, self._track, self._link_off,
+                       self._keys, self._value_at):
+            del column[:cut]
+        self._base += cut
+        cut = self._link_off[0] - self._links_base
+        del self._links[:cut]
+        self._links_base += cut
+        # A span's values move to the end when its keys change, so the
+        # oldest retained span need not hold the first values kept.
+        kept = self._value_at
+        cut = (min(kept) if kept else self._values_base + len(self._values)
+               ) - self._values_base
+        del self._values[:cut]
+        self._values_base += cut
+
+    def compact(self) -> None:
+        """Move pending spans into the columns and drop the evicted
+        slots, so that slot ``pos`` holds the ``pos``-th retained span.
+        Nothing a reader sees changes."""
+        self._flush()
+        self._drop_evicted()
+
+    def _row(self, seq: int):
+        """Where the span recorded ``seq``-th is: its pending row, its
+        slot, or None once evicted (its slot may hold a newer span)."""
+        if seq < self.recorded - self.capacity:
+            return None
+        slot = seq - self._base
+        pending = slot - len(self._begin)
+        return self._pending[pending] if pending >= 0 else slot
+
+    def _close(self, seq: int, end: float, args: Dict[str, Any]) -> None:
+        """End the span recorded ``seq``-th at ``end``, its attributes
+        updated by ``args`` as ``dict.update`` would; nothing once it
+        is evicted."""
+        if seq < self.recorded - self.capacity:
+            return
+        slot = seq - self._base
+        pending = slot - len(self._begin)
+        if pending >= 0:
+            row = self._pending[pending]
+            row[_END] = end
+            row[_ARGS].update(args)
+            return
+        self._end[slot] = end
+        if args:
+            merged = self._args(slot)
+            if merged:
+                merged.update(args)
+                args = merged
+            self._store_args(slot, args)
+
+    def _set(self, seq: int, field: int, value: Any) -> None:
+        """Overwrite one field (``_END``, ``_ARGS``, ``_SID`` or
+        ``_REQ``) of the span recorded ``seq``-th; nothing once it is
+        evicted. ``_ARGS`` takes a dict the log may keep."""
+        row = self._row(seq)
+        if row is None:
+            return
+        if field != _ARGS and value is None:
+            value = _OPEN if field == _END else _NONE
+        if type(row) is list:
+            row[field] = value
+        elif field == _ARGS:
+            self._store_args(row, value)
+        else:
+            {_END: self._end, _SID: self._sid, _REQ: self._req}[field][row] \
+                = value
+
+    def _store_args(self, slot: int, args: Dict[str, Any]) -> None:
+        """Replace one slot's attributes with ``args`` (empty for none).
+
+        Same keys: the values are overwritten in place. Otherwise they
+        move to the end of ``_values``, and the old entries are cleared
+        so they hold no object until eviction drops them.
+        """
+        old = self._key_tuples[self._keys[slot]]
+        keys = tuple(args)
+        at = self._value_at[slot] - self._values_base
+        if keys == old:
+            self._values[at:at + len(keys)] = args.values()
+            return
+        self._values[at:at + len(old)] = [None] * len(old)
+        index = self._key_index.get(keys)
+        if index is None:
+            index = _intern(keys, self._key_tuples, self._key_index)
+        self._keys[slot] = index
+        self._value_at[slot] = self._values_base + len(self._values)
+        self._values.extend(args.values())
 
     def append(self, span: Span) -> None:
-        if len(self._spans) == self._spans.maxlen:
-            self.evicted += 1
-        self._spans.append(span)
-        self.recorded += 1
+        self._record(span.stage, span.track, span.begin_ns, span.end_ns,
+                     span.args or {}, span.span_id, span.parent_id,
+                     span.links, span.req)
+
+    def __getstate__(self):
+        # Shards pickle the columns: no pending rows, no evicted slots.
+        self.compact()
+        return self.__dict__
+
+    # -- reading ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return min(self.recorded, self.capacity)
 
-    def __iter__(self):
-        return iter(self._spans)
+    def _args(self, slot: int) -> Optional[Dict[str, Any]]:
+        keys = self._key_tuples[self._keys[slot]]
+        if not keys:
+            return None
+        at = self._value_at[slot] - self._values_base
+        return dict(zip(keys, self._values[at:at + len(keys)]))
+
+    def _arg(self, slot: int, key: str) -> Any:
+        """One attribute of one span, or None."""
+        keys = self._key_tuples[self._keys[slot]]
+        if key not in keys:
+            return None
+        return self._values[self._value_at[slot] - self._values_base
+                            + keys.index(key)]
+
+    def _link_ids(self, slot: int) -> Optional[Tuple[int, ...]]:
+        base = self._links_base
+        lo = self._link_off[slot] - base
+        hi = self._link_off[slot + 1] - base
+        return tuple(self._links[lo:hi]) if hi > lo else None
+
+    def _span(self, slot: int) -> Span:
+        end = self._end[slot]
+        return Span(self._stage_names[self._stage[slot]],
+                    self._track_names[self._track[slot]],
+                    self._begin[slot], None if end != end else end,
+                    self._args(slot), _id(self._sid[slot]),
+                    _id(self._parent[slot]), self._link_ids(slot),
+                    _id(self._req[slot]))
+
+    def span_at(self, pos: int) -> Span:
+        """The ``pos``-th retained span, oldest first, as a new
+        :class:`Span`."""
+        if not 0 <= pos < len(self):
+            raise IndexError("span position out of range")
+        self.compact()
+        return self._span(pos)
+
+    def __iter__(self) -> Iterator[Span]:
+        self.compact()
+        for slot in range(len(self._begin)):
+            yield self._span(slot)
 
     def spans(self, stage: Optional[str] = None,
               track: Optional[str] = None) -> List[Span]:
-        out = list(self._spans)
-        if stage is not None:
-            out = [s for s in out if s.stage == stage]
+        """The retained spans, optionally of one stage and/or on one
+        track, in record order."""
+        return self.spans_of(None if stage is None else (stage,), track)
+
+    def spans_of(self, stages: Optional[Iterable[str]],
+                 track: Optional[str] = None) -> List[Span]:
+        """The retained spans whose stage is one of ``stages`` (any
+        stage for None), optionally on one track, in record order. Only
+        the matching spans are built."""
+        self.compact()
+        if stages is None:
+            slots = range(len(self._begin))
+        else:
+            index = self._stage_index
+            slots = sorted(chain.from_iterable(
+                _where(self._stage, index[stage])
+                for stage in set(stages) if stage in index))
         if track is not None:
-            out = [s for s in out if s.track == track]
-        return out
+            index = self._track_index.get(track)
+            column = self._track
+            slots = [slot for slot in slots if column[slot] == index]
+        return [self._span(slot) for slot in slots]
 
-    def positions(self) -> Tuple[List[Span], Sequence[Any], int]:
-        """``(spans, refs, first)``: the spans that carry a span id, as a
-        list in record order, and how to find the spans they reference.
+    def identified(self) -> int:
+        """How many retained spans carry a span id."""
+        self.compact()
+        return len(self._sid) - self._sid.count(_NONE)
 
-        ``refs[pos]`` has the ``parent_id``, ``links`` and ``req`` of
-        ``spans[pos]``, with every id numbered so that span ``sid`` sits
-        at position ``sid - first``; an id outside
-        ``range(first, first + len(spans))`` is not in the log. A
-        recorded run numbers its spans 1, 2, ... in record order and the
-        ring only drops the oldest, so ``refs`` is ``spans`` itself and a
-        reference resolves by one subtraction. Only a log whose ids are
-        not dense and in record order (hand-appended spans, spans
-        without an id) is renumbered, through a ``{span_id: position}``
-        dict dropped on return.
+    def positions(self) -> Tuple["SpanLog", int]:
+        """``(log, first)``: the spans that carry a span id, with slot
+        ``pos`` of ``log``'s columns holding the ``pos``-th, and how to
+        find the spans they reference: span ``sid`` sits at position
+        ``sid - first``, and an id outside ``range(first, first +
+        len(log))`` is not in the log.
+
+        A recorded run numbers its spans 1, 2, ... in record order and
+        the ring only drops the oldest, so ``log`` is this log itself
+        (compacted) and a reference resolves by one subtraction. Only a
+        log whose ids are not dense and in record order (hand-appended
+        spans, spans without an id) is copied: the copy keeps the spans
+        with an id, its parent and link ids are the positions they
+        reference (-1 for an id not in the log), and ``first`` is 0.
         """
-        spans = list(self._spans)
-        first = spans[0].span_id if spans else None
-        if first is not None and all(map(
-                operator.eq, map(_span_id, spans), itertools.count(first))):
-            return spans, spans, first
-        spans = [span for span in spans if span.span_id is not None]
-        index = {span.span_id: pos for pos, span in enumerate(spans)}
-        return spans, [_Renumbered(span, index) for span in spans], 0
+        self.compact()
+        sids = self._sid
+        n = len(sids)
+        first = sids[0] if n else 0
+        if n == 0 or (first != _NONE and sids == array(
+                "q", range(first, first + n))):
+            return self, first
+        kept = [slot for slot in range(n) if sids[slot] != _NONE]
+        index = {sids[slot]: pos for pos, slot in enumerate(kept)}
+        copy = SpanLog(max(1, len(kept)))
+        for slot in kept:
+            parent = self._parent[slot]
+            end = self._end[slot]
+            copy._record(self._stage_names[self._stage[slot]],
+                         self._track_names[self._track[slot]],
+                         self._begin[slot], None if end != end else end,
+                         self._args(slot) or {}, sids[slot],
+                         None if parent == _NONE else index.get(parent, -1),
+                         [index.get(link, -1)
+                          for link in self._link_ids(slot) or ()],
+                         _id(self._req[slot]))
+        copy.compact()
+        return copy, 0
 
     def stages(self) -> List[str]:
-        return sorted({s.stage for s in self._spans})
+        self.compact()
+        names = self._stage_names
+        return sorted(names[i] for i in set(self._stage))
 
     def tracks(self) -> List[str]:
-        return sorted({s.track for s in self._spans})
+        self.compact()
+        names = self._track_names
+        return sorted(names[i] for i in set(self._track))
+
+
+class SpanHandle:
+    """A recorded span, read and written through its log.
+
+    :meth:`RunTelemetry.span` and :meth:`RunTelemetry.begin` return one;
+    instrumentation sites keep it while the span is open. ``span_id``,
+    ``req``, ``args`` and ``end_ns`` read and write the span's row or
+    slot, ``parent_id`` and ``links`` read it, and :meth:`snapshot`
+    reads every field at once. The log keeps no handle.
+    Once the ring has evicted the span, the handle still knows its
+    identity (``span_id`` and ``req``, which :meth:`RunTelemetry.ctx_after`
+    threads downstream), its other fields read None, and writes to them
+    are dropped: they never reach the slot a newer span has taken.
+    """
+
+    __slots__ = ("_log", "_seq", "_span_id", "_req")
+
+    def __init__(self, log: SpanLog, seq: int, span_id: Optional[int],
+                 req: Optional[int]):
+        self._log = log
+        self._seq = seq
+        self._span_id = span_id
+        self._req = req
+
+    def snapshot(self) -> Optional[Span]:
+        """The span as it is now, as a new :class:`Span`; None once
+        evicted."""
+        log = self._log
+        log.compact()
+        slot = log._row(self._seq)
+        return None if slot is None else log._span(slot)
+
+    def _read(self, name: str) -> Any:
+        span = self.snapshot()
+        return None if span is None else getattr(span, name)
+
+    # Identity: kept on the handle too, so it outlives eviction; this
+    # handle is the only writer of its span's ids.
+
+    @property
+    def span_id(self) -> Optional[int]:
+        return self._span_id
+
+    @span_id.setter
+    def span_id(self, value: Optional[int]) -> None:
+        self._span_id = value
+        self._log._set(self._seq, _SID, value)
+
+    @property
+    def req(self) -> Optional[int]:
+        return self._req
+
+    @req.setter
+    def req(self, value: Optional[int]) -> None:
+        self._req = value
+        self._log._set(self._seq, _REQ, value)
+
+    @property
+    def end_ns(self) -> Optional[float]:
+        return self._read("end_ns")
+
+    @end_ns.setter
+    def end_ns(self, value: Optional[float]) -> None:
+        self._log._set(self._seq, _END, value)
+
+    @property
+    def args(self) -> Optional[Dict[str, Any]]:
+        """The attributes as a fresh dict, or None when there are none."""
+        return self._read("args")
+
+    @args.setter
+    def args(self, value: Optional[Dict[str, Any]]) -> None:
+        self._log._set(self._seq, _ARGS, dict(value) if value else {})
+
+    parent_id = property(lambda self: self._read("parent_id"))
+    links = property(lambda self: self._read("links"))
 
 
 class RunTelemetry:
@@ -276,7 +671,7 @@ class RunTelemetry:
              start_ns: Optional[float] = None,
              ctx: Optional[SpanCtx] = None, root: bool = False,
              links: Optional[Iterable[int]] = None,
-             **args) -> Optional[Span]:
+             **args) -> Optional[SpanHandle]:
         """Record a completed span.
 
         ``start_ns`` defaults to now; the span covers
@@ -289,8 +684,8 @@ class RunTelemetry:
         causal roots: txn commit, RPC arrival, DMA op, fault fire);
         ``links`` adds extra predecessor span ids (batch fan-in).
         """
-        # The filter check, id allotment and ring append are inlined
-        # here and in begin(): both run once per recorded span.
+        # The filter check and id allotment are inlined here and in
+        # begin(): both run once per recorded span.
         if self._stage_filter is not None and stage not in self._stage_filter:
             return None
         begin = self.env.now if start_ns is None else start_ns
@@ -302,20 +697,15 @@ class RunTelemetry:
             parent = None
         else:
             parent = req = None
-        span = Span(stage, track, begin, begin + dur_ns, args,
-                    sid, parent, tuple(links) if links else None, req)
         log = self.spans
-        ring = log._spans
-        if len(ring) == ring.maxlen:
-            log.evicted += 1
-        ring.append(span)
-        log.recorded += 1
-        return span
+        return SpanHandle(log, log._record(
+            stage, track, begin, begin + dur_ns, args, sid, parent,
+            links, req), sid, req)
 
     def begin(self, stage: str, track: str,
               ctx: Optional[SpanCtx] = None, root: bool = False,
               links: Optional[Iterable[int]] = None,
-              **args) -> Optional[Span]:
+              **args) -> Optional[SpanHandle]:
         """Open a span at the current simulated time; close it with
         :meth:`end`. Returns None when the stage is filtered out."""
         if self._stage_filter is not None and stage not in self._stage_filter:
@@ -328,17 +718,12 @@ class RunTelemetry:
             parent = None
         else:
             parent = req = None
-        span = Span(stage, track, self.env.now, None, args,
-                    sid, parent, tuple(links) if links else None, req)
         log = self.spans
-        ring = log._spans
-        if len(ring) == ring.maxlen:
-            log.evicted += 1
-        ring.append(span)
-        log.recorded += 1
-        return span
+        return SpanHandle(log, log._record(
+            stage, track, self.env.now, None, args, sid, parent,
+            links, req), sid, req)
 
-    def ctx_after(self, span: Optional[Span]) -> Optional[SpanCtx]:
+    def ctx_after(self, span: Optional[SpanHandle]) -> Optional[SpanCtx]:
         """The context downstream work should carry after ``span``.
 
         None in, None out (filtered stages break the chain cleanly), so
@@ -346,21 +731,15 @@ class RunTelemetry:
         """
         if span is None:
             return None
-        return SpanCtx(span.req, span.span_id)
+        return SpanCtx(span._req, span._span_id)
 
-    def end(self, span: Optional[Span], **args) -> None:
+    def end(self, span: Optional[SpanHandle], **args) -> None:
         """Close an open span at the current simulated time; ``args``
         update its attributes as ``dict.update`` would."""
         if span is None:
             return
-        span.end_ns = self.env.now
         self._causal = None  # a causal pass that saw it open is stale
-        if args:
-            if span._attrs is not None:
-                merged = span.args
-                merged.update(args)
-                args = merged
-            span._attrs = sum(args.items(), ())
+        self.spans._close(span._seq, self.env.now, args)
 
     # -- metric shorthands --------------------------------------------------
 

@@ -85,7 +85,9 @@ class DmaQueue:
         self.produced += len(items)
         self._announce(arrival)
         if tel is not None:
-            span.end_ns = span.begin_ns + cost
+            if span is not None:
+                # No simulated time passes in here: the span began now.
+                span.end_ns = self.env.now + cost
             relink_batch(tel, span, items)
             tel.count("ring_ops", by=len(items), ring=self.name, op="push")
         if self.sync:

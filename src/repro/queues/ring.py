@@ -32,10 +32,11 @@ def relink_batch(tel, span, items) -> None:
     """
     if span is None:
         return
+    sid = span.span_id
     for item in items:
         ctx = getattr(item, "ctx", None)
         if ctx is not None:
-            item.ctx = SpanCtx(ctx.req, span.span_id)
+            item.ctx = SpanCtx(ctx.req, sid)
 
 
 def batch_links(items):

@@ -2,6 +2,7 @@
 the partition observatory (repro.obs.causal + the span identity layer).
 """
 
+import gc
 import pickle
 import random
 import tracemalloc
@@ -128,7 +129,7 @@ def test_hand_built_critical_path_and_blame():
     trace = graph.trace(req)
     assert trace is not None
     assert not trace.partial
-    assert [s.stage for s in trace.path] == [
+    assert [s.stage for s in trace.path_spans()] == [
         "rpc.request", "ring.produce", "agent.commit", "msix.deliver",
         "task.run"]
     assert trace.latency_ns == pytest.approx(80.0)
@@ -173,9 +174,9 @@ def test_batch_links_do_not_splice_other_requests_into_a_path():
                      ctx=SpanCtx(b_root.req, batch.span_id))
     graph = CausalGraph(hub.runs[0])
     trace_b = graph.trace(b_root.req)
-    assert [s.stage for s in trace_b.path] == [
+    assert [s.stage for s in trace_b.path_spans()] == [
         "sched.submit", "ring.consume", "task.run"]
-    assert trace_b.path[0].span_id == b_root.span_id
+    assert trace_b.path_spans()[0].span_id == b_root.span_id
     assert trace_b.latency_ns == pytest.approx(40.0)
 
 
@@ -250,6 +251,27 @@ def test_index_retains_at_most_64_bytes_per_span():
     assert retained / len(run.spans) <= 64
 
 
+def test_no_span_objects_outlive_the_reports():
+    """The log keeps columns, the causal memo keeps positions: after a
+    traced Wave-16 FIFO point and both reports, no Span object is left
+    (spans are built only while one is read, e.g. the rendered
+    critical path)."""
+    from repro.obs import Span
+    from repro.sched.experiment import run_sched_point
+    from repro.workloads import RocksDbModel
+    hub = Telemetry()
+    with hub:
+        run_sched_point(Placement.NIC, WaveOpts.full(), 16, FifoPolicy,
+                        RocksDbModel.fifo_mix, 600_000, duration_ns=1e6,
+                        warmup_ns=2e5, seed=1)
+    assert hub.total_spans() > 1_000
+    assert "Critical path" in analyze_report(hub)
+    assert "Causal request blame" in run_report(hub)
+    assert hub.runs[0]._causal is not None
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, Span)]
+
+
 # -- end-to-end: a real sched deployment -------------------------------------
 
 def _run_sched_deployment(policy=None, until=5_000_000):
@@ -285,10 +307,10 @@ def test_deployment_requests_traced_end_to_end():
     # Every submitted task minted one request.
     assert len(traces) >= 8
     full = [t for t in traces
-            if any(s.stage == "task.run" for s in t.path)]
+            if any(s.stage == "task.run" for s in t.path_spans())]
     assert len(full) >= 8
     for trace in full:
-        stages = [s.stage for s in trace.path]
+        stages = [s.stage for s in trace.path_spans()]
         assert stages[0] == "sched.submit"
         assert "task.run" in stages
         layers = set(trace.blame)
@@ -437,7 +459,7 @@ def test_fifo_deployment_blames_queueing_to_sched_policy():
         env.run(until=3_000_000)
     traces, _ = request_traces(hub)
     finished = [t for t in traces
-                if any(s.stage == "task.run" for s in t.path)]
+                if any(s.stage == "task.run" for s in t.path_spans())]
     assert len(finished) == 6
     # The last-submitted tasks waited behind the earlier ones.
     queued = sorted(t.blame.get("sched-policy", 0.0) for t in finished)

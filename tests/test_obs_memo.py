@@ -53,7 +53,8 @@ def _observed_hub():
 
 def _shape(trace):
     return (trace.run_label, trace.req, trace.latency_ns, trace.partial,
-            [span.span_id for span in trace.path], trace.blame)
+            [span.span_id for span in trace.path_spans()],
+            trace.blame)
 
 
 def _fresh_traces(run):
@@ -297,7 +298,7 @@ def test_analysis_matches_reference_walk(specs, capacity, renumbering):
             req))
     traces, truncated = request_traces(hub)
     assert (truncated, [(t.run_label, t.req, t.latency_ns, t.partial,
-                         [s.span_id for s in t.path],
+                         [s.span_id for s in t.path_spans()],
                          list(t.blame.items())) for t in traces]) == \
         _reference_traces(run)
 

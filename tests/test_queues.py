@@ -237,6 +237,19 @@ class TestDmaQueue:
         assert cost > wire
         assert completion is None
 
+    def test_produce_span_records_its_cost_or_is_filtered_out(self):
+        from repro.obs import Telemetry
+        for stages in (None, ["dma.transfer"]):
+            env = Environment()
+            Telemetry(stage_filter=stages).attach(env)
+            queue, _ = self.make(env, sync=True)
+            cost, _ = queue.produce(list(range(3)))
+            produced = env.telemetry.spans.spans("dmaq.produce")
+            if stages is None:
+                assert [span.duration_ns for span in produced] == [cost]
+            else:
+                assert produced == []
+
     def test_items_arrive_after_transfer(self):
         env = Environment()
         queue, params = self.make(env, sync=False)

@@ -158,7 +158,8 @@ class TestRpcExperiment:
         traces, truncated = request_traces(hub)
         assert truncated == 0
         assert {trace.req for trace in traces} == rpc_reqs
-        assert all(trace.path[0].stage == "rpc.request" for trace in traces)
+        assert all(trace.path_spans()[0].stage == "rpc.request"
+                   for trace in traces)
 
     def test_worker_core_override(self):
         result = run_rpc_point(RpcScenario.OFFLOAD_ALL, False, 50_000,

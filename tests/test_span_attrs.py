@@ -60,7 +60,7 @@ def test_shard_pickle_roundtrip_keeps_attributes():
         ("c", {"tid": 2, "where": "smartnic", "failed_race": True})]
 
 
-def test_one_attribute_span_retains_at_most_300_bytes():
+def test_one_attribute_span_retains_at_most_128_bytes():
     """A long traced run keeps millions of spans, most with a single
     attribute: what one such span retains bounds the run's memory."""
     n = 10_000
@@ -74,4 +74,4 @@ def test_one_attribute_span_retains_at_most_300_bytes():
     finally:
         tracemalloc.stop()
     assert len(run.spans) == n
-    assert retained / n <= 300
+    assert retained / n <= 128
