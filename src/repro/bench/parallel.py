@@ -50,7 +50,6 @@ import os
 import pickle
 import queue as queue_mod
 import sys
-import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -182,15 +181,16 @@ def _heartbeat(kind: str, index: int, events: int,
 def _run_spec_sharded(item: Tuple[int, PointSpec]):
     """Worker entry: run one point, instrumented when configured.
 
-    Returns ``(result, shard_or_None)``; the shard carries everything a
-    fresh per-process hub collected for this point.
+    Returns ``(result, shard_or_None, pid)``; the shard carries
+    everything a fresh per-process hub collected for this point, and the
+    pid names the worker that ran it.
     """
     index, spec = item
     _heartbeat("start", index, 0)
     if _WORKER_TEL_CFG is None:
         result = spec()
         _heartbeat("done", index, 0)
-        return result, None
+        return result, None, os.getpid()
     from repro.obs.spans import Telemetry
     hub = Telemetry.from_shard_config(_WORKER_TEL_CFG)
     hub.install()
@@ -201,29 +201,35 @@ def _run_spec_sharded(item: Tuple[int, PointSpec]):
     shard = hub.shard()
     _heartbeat("done", index, shard.events_scheduled,
                shard.timeline_samples)
-    return result, shard
+    return result, shard, os.getpid()
 
 
 # -- parent side -------------------------------------------------------------
 
-def _drain_heartbeats(hb_queue, progress, final: bool = False) -> None:
-    """Absorb queued worker heartbeats into progress + health metrics.
+def _finish_point(progress, index: int, pid: int, events: int,
+                  samples: int) -> None:
+    """Account one point's completion, once: from its "done" heartbeat
+    or, if that has not arrived, from the result ``pool.map`` returned
+    (a late heartbeat for a finished point is then ignored)."""
+    if index in progress.finished:
+        return
+    slot = progress.worker_slot(pid)
+    progress.finish(index, slot, events, samples)
+    _HEALTH.counter("sweep.worker.points", worker=str(slot)).incr()
+    if events:
+        _HEALTH.counter("sweep.worker.events", worker=str(slot)).incr(events)
+    if samples:
+        _HEALTH.counter("sweep.worker.timeline_samples",
+                        worker=str(slot)).incr(samples)
 
-    ``final`` is set on the post-``pool.map`` drain: results arrive on a
-    different pipe than heartbeats, so the last "done" heartbeat can
-    still be in flight when the map completes. The final drain keeps
-    polling (briefly, bounded) until every point's heartbeat has been
-    accounted, so per-worker point counts never undercount.
-    """
-    deadline = time.monotonic() + 2.0
+
+def _drain_heartbeats(hb_queue, progress) -> None:
+    """Absorb the worker heartbeats queued so far into progress + health
+    metrics (non-blocking)."""
     while True:
         try:
             kind, index, pid, events, samples = hb_queue.get_nowait()
         except queue_mod.Empty:
-            if (final and progress.done < progress.total
-                    and time.monotonic() < deadline):
-                time.sleep(0.005)
-                continue
             return
         except (OSError, EOFError):  # pragma: no cover -- pool teardown
             return
@@ -232,14 +238,7 @@ def _drain_heartbeats(hb_queue, progress, final: bool = False) -> None:
         if kind == "start":
             progress.start(index, slot)
         else:
-            progress.finish(index, slot, events, samples)
-            _HEALTH.counter("sweep.worker.points", worker=str(slot)).incr()
-            if events:
-                _HEALTH.counter("sweep.worker.events",
-                                worker=str(slot)).incr(events)
-            if samples:
-                _HEALTH.counter("sweep.worker.timeline_samples",
-                                worker=str(slot)).incr(samples)
+            _finish_point(progress, index, pid, events, samples)
 
 
 def run_points(specs: Iterable[PointSpec],
@@ -280,13 +279,22 @@ def run_points(specs: Iterable[PointSpec],
                     _HEALTH.counter("sweep.point.stalls").incr()
                 if pending.ready():
                     break
-            pairs = pending.get()
-        _drain_heartbeats(hb_queue, progress, final=True)
+            outputs = pending.get()
+        # Results and heartbeats travel on different pipes, so the last
+        # "done" heartbeats may still be in flight: every point not yet
+        # accounted is finished from its own result instead.
+        _drain_heartbeats(hb_queue, progress)
+        for index, (_, shard, pid) in enumerate(outputs):
+            if shard is None:
+                _finish_point(progress, index, pid, 0, 0)
+            else:
+                _finish_point(progress, index, pid, shard.events_scheduled,
+                              shard.timeline_samples)
     finally:
         progress.close()
 
     results = []
-    for index, (result, shard) in enumerate(pairs):
+    for index, (result, shard, _) in enumerate(outputs):
         results.append(result)
         if shard is not None and hub is not None:
             hub.absorb(shard, worker=progress.point_worker.get(index))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Seconds a point may run without finishing before it is reported as a
 #: possible stall (override with ``REPRO_STALL_S``). Sweep points are
@@ -77,16 +77,22 @@ class SweepProgress:
         self.stall_after_s = stall_after_s
         self.clock = clock
         self.t0 = clock()
-        self.done = 0
         self.events_total = 0
         self.samples_total = 0
         #: point index -> (worker slot, start time) for in-flight points.
         self.running: Dict[int, Tuple[int, float]] = {}
         #: point index -> worker slot, for every point ever started.
         self.point_worker: Dict[int, int] = {}
+        #: Indices of the points already finished.
+        self.finished: Set[int] = set()
         self.stalled: List[int] = []
         self._slots: Dict[int, int] = {}     # pid -> stable worker slot
         self._live_dirty = False
+
+    @property
+    def done(self) -> int:
+        """Points finished so far."""
+        return len(self.finished)
 
     # -- heartbeat ingestion -------------------------------------------------
 
@@ -107,7 +113,7 @@ class SweepProgress:
                samples: int = 0) -> None:
         started = self.running.pop(index, None)
         self.point_worker.setdefault(index, slot)
-        self.done += 1
+        self.finished.add(index)
         self.events_total += events or 0
         self.samples_total += samples or 0
         if self.mode == "line":

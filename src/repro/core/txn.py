@@ -22,6 +22,18 @@ from repro.hw.paths import MemPath
 _txn_ids = itertools.count()
 
 
+def _reset_txn_ids():
+    global _txn_ids
+    _txn_ids = itertools.count()
+
+
+# Per-run transaction ids (see repro.sim.core.register_run_id_reset):
+# labelling only, reset at every Environment construction.
+from repro.sim.core import register_run_id_reset  # noqa: E402
+
+register_run_id_reset(_reset_txn_ids)
+
+
 class TxnOutcome(enum.Enum):
     """What happened when the host tried to enforce a transaction."""
 

@@ -18,8 +18,7 @@ rather than corrupt state.
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, List, Optional, Set
+from typing import List, Set
 
 from repro.core.agent import WaveAgent
 from repro.core.channel import WaveChannel
@@ -41,11 +40,6 @@ MSG_SYNC_WORDS = 2      #: queue head/tail sync per consumed message
 COMMIT_SYNC_WORDS = 8   #: txn status machine + tail sync per commit
 
 
-class _CoreState(enum.Enum):
-    WAITING = "waiting"   # idle, host is parked on an empty slot
-    BUSY = "busy"         # running (or about to run) a task
-
-
 class GhostAgent(WaveAgent):
     """Global scheduling agent; runs any
     :class:`~repro.sched.policy.SchedPolicy`."""
@@ -58,8 +52,9 @@ class GhostAgent(WaveAgent):
         self.core_ids = list(core_ids)
         self.prestage_enabled = channel.opts.prestage
         self.policy_ns_per_message = policy_ns_per_message
-        self._state: Dict[int, _CoreState] = {
-            c: _CoreState.WAITING for c in self.core_ids}
+        #: Cores idle with the host parked on an empty slot; every other
+        #: core is busy, running (or about to run) a task.
+        self._waiting: Set[int] = set(self.core_ids)
         #: Extra per-TASK_NEW cost, e.g. an on-host scheduler reading
         #: RPC headers from SmartNIC memory over MMIO (section 7.3's
         #: OnHost-Scheduler scenario).
@@ -129,8 +124,7 @@ class GhostAgent(WaveAgent):
                 # Continue the request chain from the ring-consume hop.
                 message.payload.ctx = message.ctx
             self.policy.enqueue(message.payload)
-            touched.update(core for core, state in self._state.items()
-                           if state is _CoreState.WAITING)
+            touched.update(self._waiting)
         elif kind == TASK_DEAD:
             task, core = message.payload
             self.policy.note_stopped(core)
@@ -140,17 +134,16 @@ class GhostAgent(WaveAgent):
             if staged_txn is not None:
                 self.policy.note_running(core, staged_txn.payload.task,
                                          self.env.now)
-                self._state[core] = _CoreState.BUSY
+                self._waiting.discard(core)
             else:
-                self._state[core] = _CoreState.WAITING
+                self._waiting.add(core)
             touched.add(core)
         elif kind == TASK_PREEMPT:
             task, core, remaining = message.payload
             if message.ctx is not None:
                 task.ctx = message.ctx
             self.policy.enqueue(task)
-            touched.update(c for c, state in self._state.items()
-                           if state is _CoreState.WAITING)
+            touched.update(self._waiting)
 
     # -- committing decisions ---------------------------------------------------
 
@@ -169,8 +162,9 @@ class GhostAgent(WaveAgent):
     def _dispatch(self, touched: Set[int]):
         """Serve waiting cores first, then prestage for busy ones."""
         tel = getattr(self.env, "telemetry", None)
+        waiting = self._waiting
         for core in sorted(touched):
-            if self._state.get(core) is not _CoreState.WAITING:
+            if core not in waiting:
                 continue
             task = self.policy.dequeue()
             if task is None:
@@ -199,17 +193,17 @@ class GhostAgent(WaveAgent):
                 tel.end(span, kind="dispatch", core=core, tid=task.tid)
                 tel.count("agent_commits", kind="dispatch")
             self.policy.note_running(core, task, self.env.now)
-            self._state[core] = _CoreState.BUSY
+            waiting.discard(core)
             self.dispatches += 1
             self.heartbeat()
-        if not self.prestage_enabled:
+        if not self.prestage_enabled or not self.policy.runnable_count():
             return
         # Restock every busy core whose slot the host has consumed (we
         # see consumption in our local DRAM via the host's commit
         # marker). The paper prestages eagerly when the run queue is
         # deep enough; scanning all cores each wake is that eagerness.
         for core in self.core_ids:
-            if self._state.get(core) is not _CoreState.BUSY:
+            if core in waiting:
                 continue
             if self._peek(core) is not None:
                 continue
@@ -253,7 +247,7 @@ class GhostAgent(WaveAgent):
                         tid=next_task.tid)
                 tel.count("agent_commits", kind="preempt")
             self.policy.note_running(core, next_task, self.env.now)
-            self._state[core] = _CoreState.BUSY
+            self._waiting.discard(core)
             self.preempts_issued += 1
             self.heartbeat()
 
@@ -266,7 +260,7 @@ class GhostAgent(WaveAgent):
             if outcome is TxnOutcome.FAILED_RACE:
                 # The decision's task vanished; the core will idle until
                 # we re-dispatch it.
-                if self._state.get(target) is _CoreState.BUSY:
-                    self._state[target] = _CoreState.WAITING
+                if target not in self._waiting:
+                    self._waiting.add(target)
                     self.policy.note_stopped(target)
                     yield from self._dispatch({target})

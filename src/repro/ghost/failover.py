@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from repro.core.channel import Placement, WaveChannel
 from repro.core.watchdog import Watchdog
-from repro.ghost.agent import GhostAgent, _CoreState
+from repro.ghost.agent import GhostAgent
 from repro.ghost.kernel import GhostKernel
 
 #: Launch + state-pull time for a replacement agent. [modeled: process
@@ -38,7 +38,7 @@ def recover_agent(agent: GhostAgent, kernel: GhostKernel) -> int:
                            "be polling while its run queue is rebuilt")
     for core in agent.core_ids:
         agent.channel.slot(core).clear_agent()
-        agent._state[core] = _CoreState.WAITING
+        agent._waiting.add(core)
     snapshot = kernel.runnable_snapshot()
     for task in snapshot:
         agent.policy.enqueue(task)

@@ -109,32 +109,27 @@ class FloemRing:
                 faults.on_ring_produce(self.name, items))
             self.fault_dropped += n_dropped
             self.fault_duplicated += n_duplicated
+        entries = self._entries
+        # Items beyond the free room are dropped (the ring stays full
+        # for the rest of the batch).
+        room = self.capacity - len(entries)
+        accepted_items = items if len(items) <= room else items[:room]
+        accepted = len(accepted_items)
+        self.dropped += len(items) - accepted
         cost = 0.0
-        accepted = 0
-        accepted_items: List[Any] = []
-        for item in items:
-            if self.full:
-                self.dropped += 1
-                continue
-            addr = self._alloc_slot()
-            cost += producer.write_words(addr, self.entry_words + 1)
-            self._entries.append((item, None))  # visibility patched below
-            accepted_items.append(item)
-            accepted += 1
+        words = self.entry_words + 1
+        for _ in accepted_items:
+            cost += producer.write_words(self._alloc_slot(), words)
         cost += producer.flush_writes()
         if faults is not None:
             cost *= faults.path_cost_factor(producer)
         visible_at = (self.env.now + cost
                       + producer.visibility_delay() + fault_delay)
         if accepted:
-            # Patch the visibility of the entries just appended.
-            patched = []
-            for _ in range(accepted):
-                item, _ = self._entries.pop()
-                patched.append((item, visible_at))
-            self._entries.extend(reversed(patched))
+            for item in accepted_items:
+                entries.append((item, visible_at))
             self.produced += accepted
-            self.max_depth = max(self.max_depth, len(self._entries))
+            self.max_depth = max(self.max_depth, len(entries))
             self._announce(visible_at)
         tel = getattr(self.env, "telemetry", None)
         if tel is not None:
@@ -239,13 +234,13 @@ class FloemRing:
         re-wait.
         """
         event = Event(self.env)
-        now = self.env.now
-        soonest = min((t for _, t in self._entries), default=None)
-        if soonest is not None and soonest <= now:
-            event.succeed()
-        elif soonest is not None:
+        if not self._entries:
             self._waiters.append(event)
-            self._announce(soonest)
+            return event
+        soonest = min(t for _, t in self._entries)
+        if soonest <= self.env.now:
+            event.succeed()
         else:
             self._waiters.append(event)
+            self._announce(soonest)
         return event

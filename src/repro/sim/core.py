@@ -86,6 +86,9 @@ class Environment:
 
     Fast-path invariants (see ``docs/performance.md``):
 
+    - :attr:`now` is a plain attribute, read without a call. Only the
+      dispatch loops assign it (:meth:`run` and the partitioned
+      engine's); model code treats it as read-only.
     - :meth:`run` inlines the serial kernel's only dispatch loop.
       Profiled runs take it too (:mod:`repro.obs.profile` runs
       :mod:`cProfile` around it).
@@ -103,7 +106,9 @@ class Environment:
     - Events scheduled *during* dispatch are staged; when the earliest
       staged entry provably precedes everything in the heap and wheel,
       it is dispatched inline without a heap round trip (same-timestamp
-      cascades: ``succeed`` -> condition -> process resume).
+      cascades: ``succeed`` -> condition -> process resume). Otherwise
+      the loop admits every staged entry to the heap in place, in one
+      branch, without a helper call.
 
     Counters: :attr:`events_scheduled` counts heap admissions (the
     costly queue operations), :attr:`events_dispatched` counts callback
@@ -125,7 +130,7 @@ class Environment:
     diagnostics) may legitimately differ between engines.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "faults",
+    __slots__ = ("now", "_queue", "_seq", "_active_process", "faults",
                  "telemetry", "_timeline", "_timeout_pool",
                  "_wheel", "_staged", "_partition", "_engine",
                  "events_scheduled", "events_dispatched", "timers_coalesced",
@@ -133,7 +138,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0,
                  use_wheel: Optional[bool] = None):
-        self._now = initial_time
+        #: Current simulated time (ns); only the dispatch loops assign it.
+        self.now = initial_time
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
@@ -186,11 +192,6 @@ class Environment:
             _default_telemetry.attach(self)
 
     @property
-    def now(self) -> float:
-        """Current simulated time (ns)."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
@@ -233,13 +234,13 @@ class Environment:
                     # kernel's per-event overhead vs this serial path.
                     wheel = domain.wheel
                     if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                        wheel.insert(self._now + delay, NORMAL, self._seq,
+                        wheel.insert(self.now + delay, NORMAL, self._seq,
                                      timer, delay >= MIN_COARSE_DELAY)
                     else:
                         domain.staged.append(
-                            (self._now + delay, NORMAL, self._seq, timer))
+                            (self.now + delay, NORMAL, self._seq, timer))
                 else:
-                    part._insert(domain, self._now + delay, NORMAL,
+                    part._insert(domain, self.now + delay, NORMAL,
                                  self._seq, timer, delay)
                 return timer
             return Timeout(self, delay, value)
@@ -260,10 +261,10 @@ class Environment:
             self._seq += 1
             wheel = self._wheel
             if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                wheel.insert(self._now + delay, NORMAL, self._seq, timer,
+                wheel.insert(self.now + delay, NORMAL, self._seq, timer,
                              delay >= MIN_COARSE_DELAY)
             else:
-                entry = (self._now + delay, NORMAL, self._seq, timer)
+                entry = (self.now + delay, NORMAL, self._seq, timer)
                 staged = self._staged
                 if staged is not None:
                     staged.append(entry)
@@ -296,22 +297,22 @@ class Environment:
                 # Same running-domain inline as timeout() above.
                 wheel = domain.wheel
                 if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                    wheel.insert(self._now + delay, priority, self._seq,
+                    wheel.insert(self.now + delay, priority, self._seq,
                                  event, delay >= MIN_COARSE_DELAY)
                 else:
                     domain.staged.append(
-                        (self._now + delay, priority, self._seq, event))
+                        (self.now + delay, priority, self._seq, event))
                 return
-            part._insert(domain, self._now + delay, priority, self._seq,
+            part._insert(domain, self.now + delay, priority, self._seq,
                          event, delay)
             return
         self._seq += 1
         wheel = self._wheel
         if wheel is not None and delay >= MIN_WHEEL_DELAY:
-            wheel.insert(self._now + delay, priority, self._seq, event,
+            wheel.insert(self.now + delay, priority, self._seq, event,
                          delay >= MIN_COARSE_DELAY)
             return
-        entry = (self._now + delay, priority, self._seq, event)
+        entry = (self.now + delay, priority, self._seq, event)
         staged = self._staged
         if staged is not None:
             staged.append(entry)
@@ -325,17 +326,6 @@ class Environment:
             self._timeout_pool.append(event)
         elif type(event) is RearmableTimer:
             event._has_entry = False
-
-    def _flush_staged(self) -> None:
-        """Push every staged entry into the heap (counted admissions)."""
-        staged = self._staged
-        if staged:
-            queue = self._queue
-            push = heapq.heappush
-            for entry in staged:
-                push(queue, entry)
-            self.events_scheduled += len(staged)
-            del staged[:]
 
     def _push_rearmed(self, event: RearmableTimer, surfaced_at: float,
                       priority: int) -> None:
@@ -406,6 +396,7 @@ class Environment:
         queue = self._queue
         pool = self._timeout_pool
         pop = heapq.heappop
+        push = heapq.heappush
         timeout_type = Timeout
         rearm_type = RearmableTimer
         wheel = self._wheel
@@ -424,13 +415,18 @@ class Environment:
                 entry = None
                 if staged:
                     cand = staged[0] if len(staged) == 1 else min(staged)
-                    if wheel is not None and wheel._next_start <= cand[0]:
-                        self._flush_staged()   # a wheel bucket is due first
-                    elif queue and queue[0] < cand:
-                        self._flush_staged()   # the heap head wins the tie
-                    elif cand[0] > stop_at:
-                        self._flush_staged()
-                        break
+                    if (cand[0] > stop_at
+                            or (queue and queue[0] < cand)
+                            or (wheel is not None
+                                and wheel._next_start <= cand[0])):
+                        # Past stop_at, the heap head wins the tie, or a
+                        # wheel bucket is due first: admit every staged
+                        # entry to the heap (counted admissions) and let
+                        # the heap path below pick -- or stop.
+                        for admitted in staged:
+                            push(queue, admitted)
+                        self.events_scheduled += len(staged)
+                        del staged[:]
                     else:
                         if len(staged) == 1:
                             del staged[:]
@@ -487,7 +483,7 @@ class Environment:
                 if tl_next <= entry[0]:
                     timeline._cross(entry[0])
                     tl_next = timeline._next_ns
-                self._now = entry[0]
+                self.now = entry[0]
                 dispatched += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
@@ -508,7 +504,10 @@ class Environment:
             # staged entries behind; they must land in the heap so a
             # resumed run dispatches them.
             if staged:
-                self._flush_staged()
+                for entry in staged:
+                    push(queue, entry)
+                self.events_scheduled += len(staged)
+                del staged[:]
             if own_staged:
                 self._staged = None
         return self._finish_run(until, stop_at)
@@ -537,9 +536,9 @@ class Environment:
             until.callbacks.append(self._stop_callback)
             return _INF
         stop_at = float(until)
-        if stop_at < self._now:
+        if stop_at < self.now:
             raise ValueError(
-                f"until ({stop_at}) must not be before now ({self._now})")
+                f"until ({stop_at}) must not be before now ({self.now})")
         return stop_at
 
     def _finish_run(self, until: Any, stop_at: float) -> Any:
@@ -553,7 +552,7 @@ class Environment:
                     # event crossed them, but the grid must cover the
                     # whole run (last sample lands at the horizon).
                     timeline._finish(stop_at)
-                self._now = max(self._now, stop_at)
+                self.now = max(self.now, stop_at)
             return None
         if until.triggered:
             return until.value

@@ -754,7 +754,7 @@ class PartitionEngine:
                     # kernel would.
                     timeline._cross(entry[0])
                     tl_next = timeline._next_ns
-                env._now = entry[0]
+                env.now = entry[0]
                 dispatched += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
@@ -866,7 +866,7 @@ class PartitionEngine:
                         break
                     pop(queue)
                     entry = cand
-                env._now = entry[0]
+                env.now = entry[0]
                 dispatched += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
@@ -907,7 +907,7 @@ class PartitionEngine:
         self.current = domain
         self.domain_switches += 1
         env = self.env
-        env._now = entry[0]
+        env.now = entry[0]
         env.events_dispatched += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -949,13 +949,13 @@ class PartitionEngine:
         heads = [_INF] * n
         crossed = [False] * n
         fences = [0.0] * n
-        max_now = env._now
+        max_now = env.now
         self._round_active = True
         try:
             while True:
                 if not self.batching:
-                    if max_now > env._now:
-                        env._now = max_now
+                    if max_now > env.now:
+                        env.now = max_now
                     return False
                 any_due = False
                 for domain in domains:
@@ -975,8 +975,8 @@ class PartitionEngine:
                     if key is not _INF_KEY and key[0] <= stop_at:
                         any_due = True
                 if not any_due:
-                    if max_now > env._now:
-                        env._now = max_now
+                    if max_now > env.now:
+                        env.now = max_now
                     return True
                 runnable = None
                 for domain in domains:
@@ -1014,8 +1014,8 @@ class PartitionEngine:
                         # so the round provably progresses.
                         self.batch_solo += 1
                         self._dispatch_solo(stop_at)
-                if env._now > max_now:
-                    max_now = env._now
+                if env.now > max_now:
+                    max_now = env.now
                 if env._cancel_backlog >= _PURGE_BACKLOG:
                     self._purge_cancelled()
         finally:
@@ -1050,13 +1050,13 @@ class PartitionEngine:
                     self._bound_owner = second_owner
                     self.domain_switches += 1
                     self._stall_at = _INF
-                    window_from = env._now
+                    window_from = env.now
                     dispatched_before = env.events_dispatched
                     self._run_inner(domain, stop_at)
                     if obs is None:
                         continue
                     obs.record_window(
-                        domain.name, env._now - window_from,
+                        domain.name, env.now - window_from,
                         env.events_dispatched - dispatched_before)
                     owner = self._bound_owner
                     if self._stall_at < _INF and owner is not None:

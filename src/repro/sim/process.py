@@ -104,67 +104,65 @@ class Process(Event):
         _Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
+        # One frame per resume: this runs for most dispatched events.
         env = self.env
         part = env._partition
-        if part is None:
-            self._resume_inner(env, event)
-            return
-        # Partitioned engine: pin ambient scheduling to the process's
-        # home domain for the duration of the resume, whatever domain's
-        # event woke it, then restore the dispatcher's routing target.
-        prev = part.current
-        part.current = self.domain
-        try:
-            self._resume_inner(env, event)
-        finally:
-            part.current = prev
-
-    def _resume_inner(self, env, event: Event) -> None:
+        if part is not None:
+            # Partitioned engine: pin ambient scheduling to the
+            # process's home domain for the duration of the resume,
+            # whatever domain's event woke it; the finally restores the
+            # dispatcher's routing target.
+            prev = part.current
+            part.current = self.domain
         env._active_process = self
         generator = self._generator
-        while True:
-            try:
-                if event._ok:
-                    next_event = generator.send(event._value)
-                else:
-                    event._defused = True
-                    next_event = generator.throw(event._value)
-            except StopIteration as exc:
-                self._target = None
-                env._active_process = None
-                self.succeed(exc.value)
-                return
-            except BaseException as exc:
-                self._target = None
-                env._active_process = None
-                self.fail(exc)
-                return
+        try:
+            while True:
+                try:
+                    if event._ok:
+                        next_event = generator.send(event._value)
+                    else:
+                        event._defused = True
+                        next_event = generator.throw(event._value)
+                except StopIteration as exc:
+                    self._target = None
+                    env._active_process = None
+                    self.succeed(exc.value)
+                    return
+                except BaseException as exc:
+                    self._target = None
+                    env._active_process = None
+                    self.fail(exc)
+                    return
 
-            if not isinstance(next_event, Event):
-                self._target = None
-                env._active_process = None
-                self.fail(RuntimeError(
-                    f"process {self.name!r} yielded a non-event: "
-                    f"{next_event!r}"))
-                return
+                if not isinstance(next_event, Event):
+                    self._target = None
+                    env._active_process = None
+                    self.fail(RuntimeError(
+                        f"process {self.name!r} yielded a non-event: "
+                        f"{next_event!r}"))
+                    return
 
-            if next_event.callbacks is not None:
-                # Still pending or triggered-but-unprocessed: wait for it.
-                next_event.callbacks.append(self._resume)
-                self._target = next_event
-                env._active_process = None
-                return
+                if next_event.callbacks is not None:
+                    # Still pending or triggered-but-unprocessed: wait.
+                    next_event.callbacks.append(self._resume)
+                    self._target = next_event
+                    env._active_process = None
+                    return
 
-            if next_event._cancelled:
-                self._target = None
-                env._active_process = None
-                self.fail(RuntimeError(
-                    f"process {self.name!r} waited on a cancelled event: "
-                    f"{next_event!r}"))
-                return
+                if next_event._cancelled:
+                    self._target = None
+                    env._active_process = None
+                    self.fail(RuntimeError(
+                        f"process {self.name!r} waited on a cancelled "
+                        f"event: {next_event!r}"))
+                    return
 
-            # Already processed: continue immediately with its value.
-            event = next_event
+                # Already processed: continue immediately with its value.
+                event = next_event
+        finally:
+            if part is not None:
+                part.current = prev
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"

@@ -20,6 +20,31 @@ def test_txn_ids_unique():
     assert a.outcome is TxnOutcome.PENDING
 
 
+def test_txn_ids_restart_with_every_run(monkeypatch):
+    # Ids label, they never steer: two same-seed runs in one process
+    # mint the same transaction ids, like task and message ids.
+    from repro.core.api import WaveNicApi
+    from repro.sched import FifoPolicy
+    from repro.sched.experiment import run_sched_point
+    from repro.workloads import RocksDbModel
+    create = WaveNicApi.txn_create
+    ids = []
+
+    def recording(self, target, payload):
+        txn = create(self, target, payload)
+        ids[-1].append(txn.txn_id)
+        return txn
+
+    monkeypatch.setattr(WaveNicApi, "txn_create", recording)
+    for _ in range(2):
+        ids.append([])
+        run_sched_point(Placement.NIC, WaveOpts.full(), 4, FifoPolicy,
+                        RocksDbModel.fifo_mix, 100_000,
+                        duration_ns=500_000, warmup_ns=100_000, seed=3)
+    assert ids[0]
+    assert ids[0] == ids[1]
+
+
 def test_slot_lazily_created_and_cached():
     env, channel = make_channel()
     slot = channel.slot(3)
@@ -34,7 +59,7 @@ def test_stash_then_take():
     txn = Transaction(target=0, payload="run-thread-7")
     cost = slot.stash(txn)
     assert cost > 0
-    env._now = slot._visible_at + 1
+    env.now = slot._visible_at + 1
     got, take_cost = slot.take()
     assert got is txn
     assert take_cost > 0
@@ -56,7 +81,7 @@ def test_restash_marks_old_txn_stale():
     slot.stash(old)
     slot.stash(new)
     assert old.outcome is TxnOutcome.FAILED_STALE
-    env._now = slot._visible_at + 1
+    env.now = slot._visible_at + 1
     got, _ = slot.take()
     assert got is new
 
@@ -70,7 +95,7 @@ def test_take_pays_clflush_on_stale_line():
     # Warm the host cache with an empty take.
     _, warm_cost = slot.take()
     slot.stash(Transaction(target=0, payload="d"))
-    env._now = 100_000.0  # let the stash become visible
+    env.now = 100_000.0  # let the stash become visible
     got, cost = slot.take()
     assert got is not None
     # Miss (750) + line-fill amortized reads; must exceed pure hits.
@@ -82,9 +107,9 @@ def test_prefetch_hides_take_latency():
     env, channel = make_channel(WaveOpts.full())
     slot = channel.slot(0)
     slot.stash(Transaction(target=0, payload="d"))
-    env._now = 1_000.0
+    env.now = 1_000.0
     slot.prefetch()
-    env._now = 1_000.0 + params.mmio_read_uc + 100
+    env.now = 1_000.0 + params.mmio_read_uc + 100
     got, cost = slot.take()
     assert got is not None
     # All reads hit the prefetched line(s).
@@ -96,7 +121,7 @@ def test_uc_take_costs_full_roundtrips():
     env, channel = make_channel(WaveOpts.baseline())
     slot = channel.slot(0)
     slot.stash(Transaction(target=0, payload="d"))
-    env._now = 100_000.0
+    env.now = 100_000.0
     _, cost = slot.take()
     assert cost >= (channel.entry_words + 1) * params.mmio_read_uc
 
@@ -106,7 +131,7 @@ def test_onhost_slot_is_cheap():
     env, channel = make_channel(placement=Placement.HOST)
     slot = channel.slot(0)
     slot.stash(Transaction(target=0, payload="d"))
-    env._now = slot._visible_at + 1
+    env.now = slot._visible_at + 1
     got, cost = slot.take()
     assert got is not None
     # Entry reads + the consumption-marker write, all in coherent DRAM.
@@ -119,7 +144,7 @@ def test_stash_visibility_is_immediate_for_nic_producer():
     env, channel = make_channel()
     slot = channel.slot(0)
     slot.stash(Transaction(target=0, payload="d"))
-    env._now = slot._visible_at + 1
+    env.now = slot._visible_at + 1
     got, _ = slot.take()
     assert got is not None
 
@@ -131,10 +156,10 @@ def test_opts_ladder_monotone_take_cost():
         env, channel = make_channel(opts)
         slot = channel.slot(0)
         slot.stash(Transaction(target=0, payload="d"))
-        env._now = 100_000.0
+        env.now = 100_000.0
         if opts.prefetch:
             slot.prefetch()
-            env._now += 2_000.0
+            env.now += 2_000.0
         _, cost = slot.take()
         costs.append(cost)
     assert costs == sorted(costs, reverse=True)

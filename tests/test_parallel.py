@@ -132,6 +132,29 @@ def test_sweep_health_worker_family():
     assert total == 4
 
 
+def test_sweep_health_counts_points_without_done_heartbeats(monkeypatch,
+                                                            capsys):
+    # A "done" heartbeat can arrive after the results (another pipe), or
+    # not before the sweep ends on a loaded host: each point's own
+    # result must still account it, once.
+    from repro.bench import parallel as par
+    health = par.reset_sweep_health()
+    send = par._heartbeat
+
+    def start_only(kind, *args, **kwargs):
+        if kind == "start":
+            send(kind, *args, **kwargs)
+
+    monkeypatch.setattr(par, "_heartbeat", start_only)  # before the fork
+    monkeypatch.delenv("REPRO_PROGRESS", raising=False)
+    assert run_points([PointSpec(_ident, (i,)) for i in range(4)],
+                      jobs=2) == [0, 1, 2, 3]
+    total = sum(m.value for key, m in health._metrics.items()
+                if key[0] == "sweep.worker.points")
+    assert total == 4
+    assert "sweep: 4/4 points" in capsys.readouterr().err
+
+
 def test_parallel_map_sugar():
     assert parallel_map(_ident, [(0,), (1,), (2,)], jobs=2) == [0, 1, 2]
 

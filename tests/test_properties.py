@@ -88,11 +88,11 @@ def test_txn_slot_never_yields_stale_decisions(operations):
             slot.stash(txn)
             stashed.append(txn)
         else:
-            env._now += 10_000  # let any stash become visible
+            env.now += 10_000  # let any stash become visible
             txn, _ = slot.take()
             if txn is not None:
                 taken.append(txn)
-        env._now += 1_000
+        env.now += 1_000
     # Each taken txn was the newest at its take, taken once.
     assert len(set(id(t) for t in taken)) == len(taken)
     for txn in taken:

@@ -287,9 +287,9 @@ def test_virtual_tick_boundary_no_overcount_at_large_magnitude():
     period, cost = 1_000_000.0, 17_000.0
     core.enable_virtual_ticks(period, cost)
     boundary = 1e12 + 3 * period
-    env._now = math.nextafter(boundary, 0.0)
+    env.now = math.nextafter(boundary, 0.0)
     assert core.tick_time == 2 * cost
-    env._now = boundary
+    env.now = boundary
     assert core.tick_time == 3 * cost
 
 
@@ -303,7 +303,7 @@ def test_virtual_tick_boundary_no_undercount_at_huge_tick_index():
     period = 1.0 / 3.0
     core.enable_virtual_ticks(period, 1.0)   # anchor = 0
     k = 14391780141791   # int(k*period/period + 1e-9) == k - 1
-    env._now = k * period
+    env.now = k * period
     assert core.tick_time == float(k)
 
 
