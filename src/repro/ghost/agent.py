@@ -18,7 +18,7 @@ rather than corrupt state.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set
 
 from repro.core.agent import WaveAgent
 from repro.core.channel import WaveChannel
@@ -26,6 +26,7 @@ from repro.core.messages import Message
 from repro.core.txn import TxnOutcome
 from repro.ghost.messages import TASK_DEAD, TASK_NEW, TASK_PREEMPT, SchedDecision
 from repro.ghost.task import GhostTask
+from repro.obs.spans import MetricHandles
 from repro.sim import Interrupt, PollTimer
 
 #: Minimum re-check delay when a preemption deadline is already due,
@@ -39,10 +40,19 @@ _MIN_TIMER_NS = 200.0
 MSG_SYNC_WORDS = 2      #: queue head/tail sync per consumed message
 COMMIT_SYNC_WORDS = 8   #: txn status machine + tail sync per commit
 
+#: The agent's metric handles (:class:`MetricHandles`).
+_AGENT_METRICS = {
+    kind: ("counter", "agent_commits", {"kind": kind})
+    for kind in ("dispatch", "prestage", "preempt")
+}
+
 
 class GhostAgent(WaveAgent):
     """Global scheduling agent; runs any
     :class:`~repro.sched.policy.SchedPolicy`."""
+
+    #: Metric handles of the run last instrumented, built on first use.
+    _tel_handles: Optional[MetricHandles] = None
 
     def __init__(self, channel: WaveChannel, policy,
                  core_ids: List[int], name: str = "ghost-agent",
@@ -191,7 +201,11 @@ class GhostAgent(WaveAgent):
             yield from self.api.txns_commit([txn], send_msix=parked)
             if span is not None:
                 tel.end(span, kind="dispatch", core=core, tid=task.tid)
-                tel.count("agent_commits", kind="dispatch")
+                handles = self._tel_handles
+                if handles is None or handles.tel is not tel:
+                    handles = self._tel_handles = MetricHandles(
+                        tel, _AGENT_METRICS)
+                handles.dispatch.incr()
             self.policy.note_running(core, task, self.env.now)
             waiting.discard(core)
             self.dispatches += 1
@@ -221,7 +235,11 @@ class GhostAgent(WaveAgent):
             yield from self.api.txns_commit([txn], send_msix=False)
             if span is not None:
                 tel.end(span, kind="prestage", core=core, tid=task.tid)
-                tel.count("agent_commits", kind="prestage")
+                handles = self._tel_handles
+                if handles is None or handles.tel is not tel:
+                    handles = self._tel_handles = MetricHandles(
+                        tel, _AGENT_METRICS)
+                handles.prestage.incr()
             self.prestages += 1
             self.heartbeat()
 
@@ -245,7 +263,11 @@ class GhostAgent(WaveAgent):
             if span is not None:
                 tel.end(span, kind="preempt", core=core,
                         tid=next_task.tid)
-                tel.count("agent_commits", kind="preempt")
+                handles = self._tel_handles
+                if handles is None or handles.tel is not tel:
+                    handles = self._tel_handles = MetricHandles(
+                        tel, _AGENT_METRICS)
+                handles.preempt.incr()
             self.policy.note_running(core, next_task, self.env.now)
             self._waiting.discard(core)
             self.preempts_issued += 1

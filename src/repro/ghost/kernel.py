@@ -28,14 +28,28 @@ from repro.core.txn import TxnOutcome
 from repro.ghost.costs import SchedCosts
 from repro.ghost.messages import TASK_DEAD, TASK_NEW, TASK_PREEMPT
 from repro.ghost.task import GhostTask, TaskState
+from repro.obs.spans import MetricHandles
 from repro.sim import Event, Interrupt, LatencyStats, PollTimer
 
 #: Core loop phases (for interrupt routing decisions).
 _ACQUIRE, _WAITING, _RUNNING = "acquire", "waiting", "running"
 
+#: The kernel's metric handles (:class:`MetricHandles`).
+_KERNEL_METRICS = {
+    "submitted": ("counter", "sched_tasks", {"event": "submit"}),
+    "preempted": ("counter", "sched_tasks", {"event": "preempt"}),
+    "completed": ("counter", "sched_tasks", {"event": "complete"}),
+    "committed": ("counter", "sched_txns", {"outcome": "committed"}),
+    "failed_race": ("counter", "sched_txns", {"outcome": "failed_race"}),
+    "latency": ("histogram", "sched_task_latency_ns", {}),
+}
+
 
 class GhostKernel:
     """Host-side scheduling class driving ``core_ids`` worker cores."""
+
+    #: Metric handles of the run last instrumented, built on first use.
+    _tel_handles: Optional[MetricHandles] = None
 
     def __init__(self, channel: WaveChannel, core_ids: List[int],
                  costs: Optional[SchedCosts] = None,
@@ -92,7 +106,11 @@ class GhostKernel:
                             ctx=getattr(task.payload, "ctx", None),
                             root=True, tid=task.tid)
             task.ctx = message.ctx = tel.ctx_after(span)
-            tel.count("sched_tasks", event="submit")
+            handles = self._tel_handles
+            if handles is None or handles.tel is not tel:
+                handles = self._tel_handles = MetricHandles(
+                    tel, _KERNEL_METRICS)
+            handles.submitted.incr()
         yield self.env.timeout(self.costs.kernel_entry)
         yield from self.host_api.send_messages([message])
 
@@ -194,6 +212,11 @@ class GhostKernel:
             if tel is not None:
                 dispatch_span = tel.begin("core.dispatch", track,
                                           ctx=getattr(txn, "ctx", None))
+                # Held for the rest of this iteration's `tel` branches.
+                handles = self._tel_handles
+                if handles is None or handles.tel is not tel:
+                    handles = self._tel_handles = MetricHandles(
+                        tel, _KERNEL_METRICS)
             if offloaded:
                 yield env.timeout(costs.wave_txn_bookkeeping)
             task = txn.payload.task
@@ -202,14 +225,14 @@ class GhostKernel:
                 self.failed_txns += 1
                 if tel is not None:
                     tel.end(dispatch_span, failed_race=True)
-                    tel.count("sched_txns", outcome="failed_race")
+                    handles.failed_race.incr()
                 yield from self.host_api.set_txns_outcomes([txn])
                 continue
             txn.outcome = TxnOutcome.COMMITTED
             yield env.timeout(costs.ctx_mechanics)
             if tel is not None:
                 tel.end(dispatch_span, tid=task.tid)
-                tel.count("sched_txns", outcome="committed")
+                handles.committed.incr()
                 task.ctx = tel.ctx_after(dispatch_span) or task.ctx
 
             # ---- run ----
@@ -243,7 +266,7 @@ class GhostKernel:
                 self.preempted += 1
                 if tel is not None:
                     tel.end(run_span, preempted=True)
-                    tel.count("sched_tasks", event="preempt")
+                    handles.preempted.incr()
                 # Pay the interrupt receive, save state, tell the agent.
                 yield env.timeout(channel.notify_receive_cost())
                 if offloaded:
@@ -265,8 +288,8 @@ class GhostKernel:
             task.completed_at = env.now
             if tel is not None:
                 tel.end(run_span)
-                tel.count("sched_tasks", event="complete")
-                tel.observe("sched_task_latency_ns", task.latency_ns)
+                handles.completed.incr()
+                handles.latency.record(task.latency_ns)
             if hasattr(task.payload, "completed_ns"):
                 task.payload.completed_ns = env.now
             if tel is not None and hasattr(task.payload, "ctx"):

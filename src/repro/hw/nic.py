@@ -8,16 +8,26 @@ through DMA.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.hw.dma import DmaEngine
 from repro.hw.params import HwParams
 from repro.hw.pcie import Interconnect
+from repro.obs.spans import MetricHandles
 from repro.sim import Environment, Event
+
+#: The NIC's metric handles (:class:`MetricHandles`).
+_NIC_METRICS = {
+    outcome: ("counter", "msix_delivered", {"outcome": outcome})
+    for outcome in ("ok", "lost")
+}
 
 
 class SmartNic:
     """One SmartNIC with its interconnect-facing functions."""
+
+    #: Metric handles of the run last instrumented, built on first use.
+    _tel_handles: Optional[MetricHandles] = None
 
     def __init__(self, env: Environment, params: HwParams,
                  interconnect: Interconnect):
@@ -69,14 +79,22 @@ class SmartNic:
                                 ctx=ctx, lost=True)
                 if carrier is not None:
                     carrier.ctx = tel.ctx_after(span)
-                tel.count("msix_delivered", outcome="lost")
+                handles = self._tel_handles
+                if handles is None or handles.tel is not tel:
+                    handles = self._tel_handles = MetricHandles(
+                        tel, _NIC_METRICS)
+                handles.lost.incr()
             return send, Event(self.env)  # pending forever: lost on the wire
         wire = send + self.interconnect.msix_propagation()
         if tel is not None:
             span = tel.span("msix.deliver", "pcie", dur_ns=wire, ctx=ctx)
             if carrier is not None:
                 carrier.ctx = tel.ctx_after(span)
-            tel.count("msix_delivered", outcome="ok")
+            handles = self._tel_handles
+            if handles is None or handles.tel is not tel:
+                handles = self._tel_handles = MetricHandles(
+                    tel, _NIC_METRICS)
+            handles.ok.incr()
         # The delivery crosses the NIC -> host boundary: route it through
         # the lookahead-checked channel so the partitioned kernel can
         # verify it respects the MSI-X minimum (wire >= send + e2e wire

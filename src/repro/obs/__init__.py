@@ -29,6 +29,7 @@ from repro.obs.metrics import (
     render_key,
 )
 from repro.obs.spans import (
+    MetricHandles,
     RunTelemetry,
     Span,
     SpanCtx,
@@ -81,6 +82,7 @@ __all__ = [
     "NullMetricsRegistry",
     "TimeWeightedMetric",
     "render_key",
+    "MetricHandles",
     "RunTelemetry",
     "RunShard",
     "Span",

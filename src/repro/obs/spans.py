@@ -745,13 +745,51 @@ class RunTelemetry:
 
     # Both resolve through ``MetricsRegistry._get`` directly: one frame
     # and one ``**labels`` packing fewer per update than going through
-    # ``counter()``/``histogram()``.
+    # ``counter()``/``histogram()``. Sites that update once per message
+    # or task hold their handles instead (:class:`MetricHandles`).
 
     def count(self, name: str, by: int = 1, **labels) -> None:
         self.metrics._get(CounterMetric, name, labels).incr(by)
 
     def observe(self, name: str, value: float, **labels) -> None:
         self.metrics._get(HistogramMetric, name, labels).record(value)
+
+
+class MetricHandles:
+    """The metric handles one instrumented object holds for one run.
+
+    A hot instrumentation site updates a held handle (``incr``, ``set``,
+    ``record``) instead of resolving its metric on every update.
+    ``specs`` maps each attribute to ``(kind, name, labels)``, where
+    ``kind`` names a :class:`~repro.obs.metrics.MetricsRegistry` method
+    (``"counter"``, ``"timeweighted"``, ``"histogram"``) and ``labels``
+    follow the table's own ``labels``. An attribute is resolved at its
+    first read -- ``__getattr__`` only runs while the instance lacks it
+    -- and is a plain instance attribute from then on. A metric is so
+    registered at its first update, as the shorthands register it, and
+    never eagerly: a registered metric enters the dump, and the digest,
+    even if nothing updates it.
+
+    The holder keys its table on the run: it keeps the table while
+    ``handles.tel is env.telemetry`` and builds a new one otherwise.
+    """
+
+    def __init__(self, tel: RunTelemetry,
+                 specs: Dict[str, Tuple[str, str, Dict[str, str]]],
+                 **labels: str):
+        self.tel = tel
+        self._specs = specs
+        self._labels = labels
+
+    def __getattr__(self, attr: str):
+        spec = self.__dict__.get("_specs", {}).get(attr)
+        if spec is None:
+            raise AttributeError(attr)
+        kind, name, labels = spec
+        handle = getattr(self.tel.metrics, kind)(
+            name, **self._labels, **labels)
+        setattr(self, attr, handle)
+        return handle
 
 
 class Telemetry:

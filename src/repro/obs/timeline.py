@@ -421,8 +421,9 @@ class RunTimeline:
             self.monitor.observe(spec, boundary, period, value)
         part = getattr(run, "partition", None)
         if part is not None:
+            busy_ns = part.busy_ns
             for dom in part.names:
-                busy = part.busy_ns[dom]
+                busy = busy_ns[dom]
                 last = self._busy_last.get(dom, 0.0)
                 self._busy_last[dom] = busy
                 self._series_for(f'part.busy{{domain="{dom}"}}').push(

@@ -18,8 +18,18 @@ from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
 from repro.hw.paths import MemPath
-from repro.obs.spans import SpanCtx
+from repro.obs.spans import MetricHandles, SpanCtx
 from repro.sim import Environment, Event
+
+
+#: The ring's metric handles (:class:`MetricHandles`), labelled with
+#: the ring's name.
+_RING_METRICS = {
+    "push": ("counter", "ring_ops", {"op": "push"}),
+    "poll": ("counter", "ring_ops", {"op": "poll"}),
+    "pop": ("counter", "ring_ops", {"op": "pop"}),
+    "depth": ("timeweighted", "ring_depth", {}),
+}
 
 
 def relink_batch(tel, span, items) -> None:
@@ -51,6 +61,9 @@ def batch_links(items):
 
 class FloemRing:
     """SPSC ring with per-entry valid flags and batching."""
+
+    #: Metric handles of the run last instrumented, built on first use.
+    _tel_handles: Optional[MetricHandles] = None
 
     def __init__(self, env: Environment, name: str,
                  producer_path: MemPath, consumer_path: MemPath,
@@ -136,9 +149,12 @@ class FloemRing:
             span = tel.span("ring.produce", f"ring:{self.name}", dur_ns=cost,
                             links=batch_links(accepted_items), n=accepted)
             relink_batch(tel, span, accepted_items)
-            tel.count("ring_ops", by=accepted, ring=self.name, op="push")
-            tel.metrics.timeweighted(
-                "ring_depth", ring=self.name).set(len(self._entries))
+            handles = self._tel_handles
+            if handles is None or handles.tel is not tel:
+                handles = self._tel_handles = MetricHandles(
+                    tel, _RING_METRICS, ring=self.name)
+            handles.push.incr(accepted)
+            handles.depth.set(len(self._entries))
         return cost
 
     def _alloc_slot(self) -> int:
@@ -181,7 +197,11 @@ class FloemRing:
             cost *= faults.path_cost_factor(self.consumer_path)
         tel = getattr(self.env, "telemetry", None)
         if tel is not None:
-            tel.count("ring_ops", ring=self.name, op="poll")
+            handles = self._tel_handles
+            if handles is None or handles.tel is not tel:
+                handles = self._tel_handles = MetricHandles(
+                    tel, _RING_METRICS, ring=self.name)
+            handles.poll.incr()
         return cost
 
     def consume(self, max_batch: int = 64) -> Tuple[List[Any], float]:
@@ -216,10 +236,12 @@ class FloemRing:
                                 dur_ns=cost, links=batch_links(items),
                                 n=len(items))
                 relink_batch(tel, span, items)
-                tel.count("ring_ops", by=len(items), ring=self.name,
-                          op="pop")
-                tel.metrics.timeweighted(
-                    "ring_depth", ring=self.name).set(len(self._entries))
+                handles = self._tel_handles
+                if handles is None or handles.tel is not tel:
+                    handles = self._tel_handles = MetricHandles(
+                        tel, _RING_METRICS, ring=self.name)
+                handles.pop.incr(len(items))
+                handles.depth.set(len(self._entries))
         return items, cost
 
     def _read_addr(self) -> int:

@@ -56,9 +56,13 @@ starts). Cross-domain inserts made while a domain runs lower the bound
 immediately, so the window is always conservative. It serves the runs
 batching cannot: telemetry-instrumented runs (span order is
 observable; each merge window feeds the :class:`PartitionObservatory`)
-and ``run(until=<event>)`` (the stop point is order-sensitive).
-Profiling adds no path of its own: a profiled run is a telemetry run,
-and :mod:`repro.obs.profile` measures the merge it takes.
+and ``run(until=<event>)`` (the stop point is order-sensitive). The
+whole merge runs in one frame (:meth:`PartitionEngine._run_exact`):
+head cleaning, selection, staged admission and the observatory's
+index-addressed window and stall counters are inline, so a window
+costs no helper call. Profiling adds no path of its own: a profiled
+run is a telemetry run, and :mod:`repro.obs.profile` measures the
+merge it takes.
 
 **Handoff to the serial kernel.** Any other run with batching off --
 degraded mid-run, or before it started -- is finished by the serial
@@ -188,9 +192,13 @@ class PartitionObservatory:
     identical whether a run executed partitioned or serial, and these
     numbers only exist under the partitioned engine.
 
-    All bookkeeping is per *window* (one ``_run_inner`` stretch) or per
-    cross-domain send -- never per event -- so an instrumented
-    partitioned run stays within the perf gate.
+    All bookkeeping is per *window* (one stretch of one domain inside
+    the exact-order merge) or per cross-domain send -- never per event
+    -- so an instrumented partitioned run stays within the perf gate.
+    The merge (:meth:`PartitionEngine._run_exact`) updates the counters
+    in place, without a call: per-domain lists and per-pair matrices
+    indexed by ``Domain.index``. The name-keyed dicts below are built
+    on read, for the report, the timeline sampler, shards and tests.
 
     What it answers, for the true-parallel follow-up the ROADMAP names:
 
@@ -212,76 +220,88 @@ class PartitionObservatory:
 
     def __init__(self, names):
         self.names = tuple(names)
-        self.busy_ns = {name: 0.0 for name in self.names}
-        self.events = {name: 0 for name in self.names}
-        self.windows = {name: 0 for name in self.names}
-        #: ``(blocker, blocked) -> `` count / fence-gap ns / residual ns.
-        self.stall_counts: Dict[Tuple[str, str], int] = {}
-        self.stall_ns: Dict[Tuple[str, str], float] = {}
-        self.stall_residual_ns: Dict[Tuple[str, str], float] = {}
-        #: ``(src, dst) -> `` cross-domain sends.
-        self.traffic: Dict[Tuple[str, str], int] = {}
+        n = len(self.names)
+        #: Per domain: windows closed, events dispatched, and busy ns
+        #: (the sum of the windows' positive clock advances).
+        self._windows = [0] * n
+        self._events = [0] * n
+        self._busy = [0.0] * n
         #: Event-count critical path per domain: windows append their
         #: event counts; a cross-send orders the receiver's next window
-        #: after the sender's chain.
-        self.cp_events = {name: 0 for name in self.names}
-        self._dep = {name: 0 for name in self.names}
+        #: (``_dep``) after the sender's chain.
+        self._cp = [0] * n
+        self._dep = [0] * n
+        #: Domains sent to since the last window closed.
         self._receivers = set()
-        self.total_events = 0
+        #: ``[blocker][blocked]`` stall count / fence-gap ns / residual
+        #: ns, and ``[src][dst]`` cross-domain sends.
+        self._stalls = [[0] * n for _ in range(n)]
+        self._gap_ns = [[0.0] * n for _ in range(n)]
+        self._residual_ns = [[0.0] * n for _ in range(n)]
+        self._traffic = [[0] * n for _ in range(n)]
 
-    def record_window(self, name: str, advanced_ns: float,
-                      n_events: int) -> None:
-        """One dispatch window closed for domain ``name``."""
-        self.windows[name] += 1
-        if advanced_ns > 0.0:
-            self.busy_ns[name] += advanced_ns
-        self.events[name] += n_events
-        self.total_events += n_events
-        start = self.cp_events[name]
-        dep = self._dep[name]
-        if dep > start:
-            start = dep
-        self.cp_events[name] = start + n_events
-        if self._receivers:
-            reach = self.cp_events[name]
-            for dst in self._receivers:
-                if dst in self._dep and reach > self._dep[dst]:
-                    self._dep[dst] = reach
-            self._receivers.clear()
+    def _pairs(self, matrix) -> Dict[Tuple[str, str], Any]:
+        """The pairs of ``matrix`` that ever moved, keyed by name (every
+        term added is positive, so a zero cell was never touched)."""
+        names = self.names
+        return {(names[a], names[b]): value
+                for a, row in enumerate(matrix)
+                for b, value in enumerate(row) if value}
 
-    def record_stall(self, blocker: str, blocked: str, cand_ns: float,
-                     bound_ns: float, lookahead_ns: float) -> None:
-        """A window for ``blocked`` hit the safe-time fence held by
-        ``blocker``: its next candidate at ``cand_ns`` could not
-        dispatch past the fence at ``bound_ns``."""
-        key = (blocker, blocked)
-        self.stall_counts[key] = self.stall_counts.get(key, 0) + 1
-        gap = cand_ns - bound_ns
-        if gap > 0.0:
-            self.stall_ns[key] = self.stall_ns.get(key, 0.0) + gap
-        residual = gap - lookahead_ns
-        if residual > 0.0:
-            self.stall_residual_ns[key] = (
-                self.stall_residual_ns.get(key, 0.0) + residual)
+    @property
+    def windows(self) -> Dict[str, int]:
+        return dict(zip(self.names, self._windows))
 
-    def record_cross(self, src: str, dst: str) -> None:
-        key = (src, dst)
-        self.traffic[key] = self.traffic.get(key, 0) + 1
+    @property
+    def events(self) -> Dict[str, int]:
+        return dict(zip(self.names, self._events))
+
+    @property
+    def busy_ns(self) -> Dict[str, float]:
+        return dict(zip(self.names, self._busy))
+
+    @property
+    def cp_events(self) -> Dict[str, int]:
+        return dict(zip(self.names, self._cp))
+
+    @property
+    def total_events(self) -> int:
+        return sum(self._events)
+
+    @property
+    def stall_counts(self) -> Dict[Tuple[str, str], int]:
+        return self._pairs(self._stalls)
+
+    @property
+    def stall_ns(self) -> Dict[Tuple[str, str], float]:
+        return self._pairs(self._gap_ns)
+
+    @property
+    def stall_residual_ns(self) -> Dict[Tuple[str, str], float]:
+        return self._pairs(self._residual_ns)
+
+    @property
+    def traffic(self) -> Dict[Tuple[str, str], int]:
+        return self._pairs(self._traffic)
+
+    def record_cross(self, src: int, dst: int) -> None:
+        """One cross-domain send between two domain indices."""
+        self._traffic[src][dst] += 1
         self._receivers.add(dst)
 
     def speedup_bound(self) -> float:
         """Total events over the longest ordered chain (>= 1.0)."""
-        longest = max(self.cp_events.values(), default=0)
+        longest = max(self._cp, default=0)
         if longest <= 0:
             return 1.0
         return self.total_events / longest
 
     def busy_bound(self) -> float:
         """Total busy time over the busiest domain's (>= 1.0)."""
-        peak = max(self.busy_ns.values(), default=0.0)
+        peak = max(self._busy, default=0.0)
         if peak <= 0.0:
             return 1.0
-        return sum(self.busy_ns.values()) / peak
+        return sum(self._busy) / peak
 
 
 class Domain:
@@ -344,7 +364,7 @@ class PartitionEngine:
     __slots__ = ("env", "plan", "domains", "_by_name", "default", "current",
                  "_running", "_run_domain", "_bound", "cross_sends",
                  "domain_switches", "observatory", "_bound_owner",
-                 "_stall_at", "batching", "_round_active", "_incoming",
+                 "_lookahead", "batching", "_round_active", "_incoming",
                  "windows_batched", "events_batched", "batch_solo",
                  "batch_degrades", "_fence")
 
@@ -382,16 +402,20 @@ class PartitionEngine:
         self.domain_switches = 0
         #: Domain holding the current safe-time fence (for stall blame).
         self._bound_owner: Optional[Domain] = None
-        #: Fenced candidate's time when a window closed on the bound.
-        self._stall_at = _INF
         #: Per-window/per-send observability, only when the run is
         #: telemetry-instrumented (None keeps the engine zero-cost).
+        #: ``_lookahead[src.index][dst.index]`` is the plan's window for
+        #: the pair, read by the exact merge's stall accounting.
         tel = getattr(env, "telemetry", None)
         if tel is not None:
             self.observatory = PartitionObservatory(self.domain_names())
             tel.partition = self.observatory
+            self._lookahead: Optional[List[List[float]]] = [
+                [plan.window(s.name, d.name) for d in self.domains]
+                for s in self.domains]
         else:
             self.observatory = None
+            self._lookahead = None
         #: Window-batched dispatch (module docstring). Sticky-degradable
         #: at runtime. Telemetry pins exact order (span ordering is
         #: observable).
@@ -524,7 +548,7 @@ class PartitionEngine:
                     f"window of {window} ns")
             self.cross_sends += 1
             if self.observatory is not None:
-                self.observatory.record_cross(src.name, dst)
+                self.observatory.record_cross(src.index, target.index)
         self.current = target
         try:
             timer = self.env.timeout(delay, value)
@@ -653,53 +677,166 @@ class PartitionEngine:
                     continue
             return best, second, second_owner
 
-    def _run_inner(self, domain: Domain, stop_at: float) -> None:
-        """Dispatch ``domain``'s events inside the safe-time window.
+    def _run_exact(self, stop_at: float) -> None:
+        """The exact-order merge, in one frame.
 
-        The serial kernel's inline loop, fenced by ``self._bound``: the
-        loop stops as soon as the domain's next candidate would reach
-        the earliest event any *other* domain could hold. Cross-domain
-        inserts made by the dispatched callbacks lower the bound en
-        route, so the fence is re-read every iteration.
+        Each window starts by cleaning every domain's heap head (popping
+        cancelled and stale re-arm entries, as ``_head_bound`` does) and
+        picking the domain owning the globally earliest key; the
+        runner-up key becomes the safe-time bound ``self._bound``, and
+        its domain the bound's owner. The window is the serial kernel's
+        inline loop, fenced by that bound: it stops as soon as the
+        domain's next candidate would reach the earliest event any
+        *other* domain could hold. Cross-domain inserts made by the
+        dispatched callbacks lower the bound en route (``_insert``), so
+        the fence is re-read every iteration. At the window's close the
+        observatory's index-addressed counters are updated in place:
+        per-window work costs no call.
         """
         env = self.env
-        queue = domain.queue
-        staged = domain.staged
-        wheel = domain.wheel
+        domains = self.domains
         pool = env._timeout_pool
         pop = heappop
+        push = heappush
         timeout_type = Timeout
         rearm_type = RearmableTimer
         timeline = env._timeline
         tl_next = timeline._next_ns if timeline is not None else _INF
-        self._run_domain = domain
-        self.current = domain
+        obs = self.observatory
+        if obs is not None:
+            windows = obs._windows
+            events = obs._events
+            busy = obs._busy
+            cp = obs._cp
+            dep = obs._dep
+            receivers = obs._receivers
+            stalls = obs._stalls
+            gap_ns = obs._gap_ns
+            residual_ns = obs._residual_ns
+            lookahead = self._lookahead
         dispatched = 0
         try:
             while True:
-                bound = self._bound
-                entry = None
-                if staged:
-                    cand = staged[0] if len(staged) == 1 else min(staged)
-                    if wheel is not None and wheel._next_start <= cand[0]:
-                        self._flush_staged(domain)
-                    elif queue and queue[0] < cand:
-                        self._flush_staged(domain)
-                    elif cand[0] > stop_at:
-                        self._flush_staged(domain)
-                        return
-                    elif cand >= bound:
-                        # The window closed before the staged entry:
-                        # hand back to the outer merge.
-                        if self.observatory is not None:
-                            self._stall_at = cand[0]
-                        self._flush_staged(domain)
-                        return
-                    else:
-                        if len(staged) == 1:
+                # -- select the domain owning the earliest live event --
+                best = second_owner = None
+                best_key = second = _INF_KEY
+                for domain in domains:
+                    queue = domain.queue
+                    key = _INF_KEY
+                    while queue:
+                        head = queue[0]
+                        event = head[3]
+                        if event._cancelled:
+                            pop(queue)
+                            if type(event) is timeout_type \
+                                    and len(pool) < _POOL_MAX:
+                                pool.append(event)
+                            elif type(event) is rearm_type:
+                                event._has_entry = False
+                            continue
+                        if type(event) is rearm_type \
+                                and event._rearm_seq != head[2]:
+                            pop(queue)
+                            self._push_rearmed(domain, head[0], head[1],
+                                               event)
+                            continue
+                        key = head
+                        break
+                    wheel = domain.wheel
+                    if wheel is not None and wheel._count \
+                            and wheel._next_start < key[0]:
+                        # Conservative: every parked entry's deadline is
+                        # at or after its bucket's start.
+                        key = (wheel._next_start, -1, -1)
+                    if key < best_key:
+                        second = best_key
+                        second_owner = best
+                        best_key = key
+                        best = domain
+                    elif key < second:
+                        second = key
+                        second_owner = domain
+                if best is None or best_key[0] > stop_at:
+                    return
+                domain = best
+                queue = domain.queue
+                wheel = domain.wheel
+                if wheel is not None and wheel._count and (
+                        not queue or wheel._next_start <= queue[0][0]):
+                    # The winner's earliest event may still be parked in
+                    # its wheel: promote the due buckets and re-select.
+                    self._promote_domain(domain, stop_at)
+                    continue
+
+                # -- one window of ``domain`` under the bound --
+                self._bound = second
+                self._bound_owner = second_owner
+                self.domain_switches += 1
+                self._run_domain = domain
+                self.current = domain
+                staged = domain.staged
+                window_from = env.now
+                dispatched_before = dispatched
+                stall_at = _INF
+                while True:
+                    bound = self._bound
+                    entry = None
+                    if staged:
+                        cand = staged[0] if len(staged) == 1 else min(staged)
+                        if (cand[0] > stop_at or cand >= bound
+                                or (queue and queue[0] < cand)
+                                or (wheel is not None
+                                    and wheel._next_start <= cand[0])):
+                            # Admit every staged entry to the heap
+                            # (counted admissions): a wheel bucket is
+                            # due first, the heap head wins the tie, the
+                            # entry is past ``stop_at``, or the window
+                            # closed before it. The heap path below then
+                            # picks -- or stops.
+                            for admitted in staged:
+                                push(queue, admitted)
+                            env.events_scheduled += len(staged)
                             del staged[:]
                         else:
-                            staged.remove(cand)
+                            if len(staged) == 1:
+                                del staged[:]
+                            else:
+                                staged.remove(cand)
+                            event = cand[3]
+                            if event._cancelled:
+                                if type(event) is timeout_type \
+                                        and len(pool) < _POOL_MAX:
+                                    pool.append(event)
+                                elif type(event) is rearm_type:
+                                    event._has_entry = False
+                                continue
+                            if type(event) is rearm_type \
+                                    and event._rearm_seq != cand[2]:
+                                self._push_rearmed(domain, cand[0], cand[1],
+                                                   event)
+                                continue
+                            entry = cand
+                    if entry is None:
+                        if queue:
+                            head_time = queue[0][0]
+                            if (wheel is not None
+                                    and wheel._next_start <= head_time):
+                                self._promote_domain(domain, stop_at)
+                                head_time = queue[0][0] if queue else _INF
+                            if head_time > stop_at:
+                                break
+                        else:
+                            if wheel is not None \
+                                    and wheel._next_start <= stop_at:
+                                self._promote_domain(domain, stop_at)
+                            if not queue or queue[0][0] > stop_at:
+                                break
+                        if queue[0] >= bound:
+                            # The window closed on the bound: hand back
+                            # to the selection above.
+                            stall_at = queue[0][0]
+                            break
+                        cand = pop(queue)
                         event = cand[3]
                         if event._cancelled:
                             if type(event) is timeout_type \
@@ -714,59 +851,56 @@ class PartitionEngine:
                                                event)
                             continue
                         entry = cand
-                if entry is None:
-                    if queue:
-                        head_time = queue[0][0]
-                        if (wheel is not None
-                                and wheel._next_start <= head_time):
-                            self._promote_domain(domain, stop_at)
-                            head_time = queue[0][0] if queue else _INF
-                        if head_time > stop_at:
-                            return
-                    else:
-                        if wheel is not None \
-                                and wheel._next_start <= stop_at:
-                            self._promote_domain(domain, stop_at)
-                        if not queue or queue[0][0] > stop_at:
-                            return
-                    if queue[0] >= bound:
-                        if self.observatory is not None:
-                            self._stall_at = queue[0][0]
-                        return
-                    cand = pop(queue)
-                    event = cand[3]
-                    if event._cancelled:
-                        if type(event) is timeout_type \
-                                and len(pool) < _POOL_MAX:
-                            pool.append(event)
-                        elif type(event) is rearm_type:
-                            event._has_entry = False
-                        continue
-                    if type(event) is rearm_type \
-                            and event._rearm_seq != cand[2]:
-                        self._push_rearmed(domain, cand[0], cand[1], event)
-                        continue
-                    entry = cand
-                if tl_next <= entry[0]:
-                    # Timeline boundary: the merge dispatches in exact
-                    # global (time, priority, seq) order, so crossing
-                    # here sees the same event prefix as the serial
-                    # kernel would.
-                    timeline._cross(entry[0])
-                    tl_next = timeline._next_ns
-                env.now = entry[0]
-                dispatched += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    # A failure nobody waited on: surface it.
-                    exc = event._value
-                    raise type(exc)(*exc.args) from exc
-                if type(event) is timeout_type and len(pool) < _POOL_MAX:
-                    pool.append(event)
-                elif type(event) is rearm_type:
-                    event._has_entry = False
+                    if tl_next <= entry[0]:
+                        # Timeline boundary: the merge dispatches in
+                        # exact global (time, priority, seq) order, so
+                        # crossing here sees the same event prefix as
+                        # the serial kernel would.
+                        timeline._cross(entry[0])
+                        tl_next = timeline._next_ns
+                    env.now = entry[0]
+                    dispatched += 1
+                    callbacks, event.callbacks = event.callbacks, None
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        # A failure nobody waited on: surface it.
+                        exc = event._value
+                        raise type(exc)(*exc.args) from exc
+                    if type(event) is timeout_type and len(pool) < _POOL_MAX:
+                        pool.append(event)
+                    elif type(event) is rearm_type:
+                        event._has_entry = False
+                if obs is None:
+                    continue
+
+                # -- the observatory's window and stall accounting --
+                i = domain.index
+                n_events = dispatched - dispatched_before
+                windows[i] += 1
+                advanced = env.now - window_from
+                if advanced > 0.0:
+                    busy[i] += advanced
+                events[i] += n_events
+                start = cp[i]
+                if dep[i] > start:
+                    start = dep[i]
+                cp[i] = reach = start + n_events
+                if receivers:
+                    for dst in receivers:
+                        if reach > dep[dst]:
+                            dep[dst] = reach
+                    receivers.clear()
+                owner = self._bound_owner
+                if stall_at < _INF and owner is not None:
+                    b = owner.index
+                    stalls[b][i] += 1
+                    gap = stall_at - self._bound[0]
+                    if gap > 0.0:
+                        gap_ns[b][i] += gap
+                    residual = gap - lookahead[b][i]
+                    if residual > 0.0:
+                        residual_ns[b][i] += residual
         finally:
             env.events_dispatched += dispatched
 
@@ -1029,8 +1163,7 @@ class PartitionEngine:
         before or during the run) the handoff to the serial kernel.
         """
         env = self.env
-        obs = self.observatory
-        exact = (obs is not None or env.telemetry is not None
+        exact = (self.observatory is not None or env.telemetry is not None
                  or isinstance(until, Event))
         self._running = True
         self._bound = _INF_KEY
@@ -1041,29 +1174,7 @@ class PartitionEngine:
                 if self.batching and self._run_batched(stop_at):
                     return env._finish_run(until, stop_at)
             else:
-                while True:
-                    sel = self._select(stop_at)
-                    if sel is None:
-                        break
-                    domain, second, second_owner = sel
-                    self._bound = second
-                    self._bound_owner = second_owner
-                    self.domain_switches += 1
-                    self._stall_at = _INF
-                    window_from = env.now
-                    dispatched_before = env.events_dispatched
-                    self._run_inner(domain, stop_at)
-                    if obs is None:
-                        continue
-                    obs.record_window(
-                        domain.name, env.now - window_from,
-                        env.events_dispatched - dispatched_before)
-                    owner = self._bound_owner
-                    if self._stall_at < _INF and owner is not None:
-                        obs.record_stall(
-                            owner.name, domain.name, self._stall_at,
-                            self._bound[0],
-                            self.plan.window(owner.name, domain.name))
+                self._run_exact(stop_at)
         except StopSimulation as stop:
             return stop.args[0]
         finally:

@@ -3,6 +3,8 @@ the partition observatory (repro.obs.causal + the span identity layer).
 """
 
 import gc
+import hashlib
+import os
 import pickle
 import random
 import tracemalloc
@@ -17,10 +19,14 @@ from repro.obs.causal import (
     CausalGraph,
     blame_table,
     layer_of,
+    partition_section,
     request_traces,
 )
+from repro.rpc.experiment import RpcScenario, run_rpc_point
 from repro.sched import FifoPolicy, ShinjukuPolicy
-from repro.sim import Environment
+from repro.sched.experiment import run_sched_point
+from repro.sim import Environment, PartitionPlan
+from repro.workloads import RocksDbModel
 
 
 # -- span identity -----------------------------------------------------------
@@ -374,6 +380,30 @@ def test_observatory_populated_for_partitioned_deployment(monkeypatch):
     assert max(obs.cp_events.values()) <= obs.total_events
 
 
+def test_observatory_orders_receiver_chain_after_sender():
+    env = Environment()
+    Telemetry().attach(env)
+    part = env.enable_partition(PartitionPlan.uniform(("a", "b"), 10.0),
+                                use_partition=True)
+
+    def sender():
+        for _ in range(3):
+            yield env.timeout(1)
+        yield env.cross_timeout("b", 50)
+
+    with env.domain("a"):
+        env.process(sender())
+    env.run()
+    obs = part.observatory
+    assert obs.windows == {"a": 2, "b": 1}
+    assert obs.events == {"a": 5, "b": 1}
+    assert obs.traffic == {("a", "b"): 1}
+    # The send closed a's first window at 4 events; b's one event
+    # extends that chain, not b's own empty one.
+    assert obs.cp_events == {"a": 5, "b": 5}
+    assert obs.busy_ns == {"a": 3.0, "b": 50.0}
+
+
 def test_observatory_absent_without_telemetry(monkeypatch):
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
     env, _ = _run_sched_deployment()
@@ -406,6 +436,61 @@ def test_observatory_not_in_metrics_dump():
     dump = metrics_dump(hub)
     assert "partition" not in dump
     assert "observatory" not in dump
+
+
+# The observatory's report text on two model points, as sha256 digests
+# with the timer wheel on and off (``REPRO_NO_TIMER_WHEEL``: wheel bucket
+# starts take part in the merge's bounds, so stalls and some window
+# boundaries differ). Every window boundary and stall, each float summed
+# in merge order, feeds this text.
+_FIFO_OBSERVATORY = {
+    True: "510f681fa28784d09efc3ac2d61aa8ecdb63183833938533e701abd2ecf31bb6",
+    False: "e04d2a8768da72f9d6056554c549d3203ce6eaeb4b49061214c583fa6e29e465",
+}
+_RPC_OBSERVATORY = {
+    True: "c3255e3fda7570c1b87246897834193f2262f200bef60fda60edca8be0774b98",
+    False: "9a6158840a0c3d8621fb1d82fd367a8ce21d9e03afd534e3a8b9214a93330323",
+}
+
+
+def _observatory_digest(hub):
+    text = "\n".join(partition_section(hub))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _wheel_on():
+    return not os.environ.get("REPRO_NO_TIMER_WHEEL")
+
+
+def test_observatory_report_golden_fifo_point(monkeypatch):
+    # Wave-16 FIFO at 600k req/s (the Fig 4a point), 2 ms simulated.
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    hub = Telemetry()
+    counters = {}
+    with hub:
+        run_sched_point(Placement.NIC, WaveOpts.full(), 16, FifoPolicy,
+                        RocksDbModel.fifo_mix, 600_000,
+                        duration_ns=2_000_000, warmup_ns=400_000, seed=8,
+                        counters=counters)
+    assert sum(hub.runs[0].partition.windows.values()) == 12_038
+    assert counters["partition_switches"] == 12_038
+    assert counters["partition_cross_sends"] == 478
+    assert counters["events_scheduled"] == (20_729 if _wheel_on()
+                                            else 21_057)
+    assert _observatory_digest(hub) == _FIFO_OBSERVATORY[_wheel_on()]
+
+
+def test_observatory_report_golden_rpc_point(monkeypatch):
+    # Fig 6b Offload-All, multi-queue Shinjuku at 230k req/s, 2 ms.
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    hub = Telemetry()
+    with hub:
+        run_rpc_point(RpcScenario.OFFLOAD_ALL, True, 230_000,
+                      worker_cores=16, duration_ns=2_000_000,
+                      warmup_ns=500_000, seed=8)
+    assert sum(hub.runs[0].partition.windows.values()) == (
+        5_528 if _wheel_on() else 5_497)
+    assert _observatory_digest(hub) == _RPC_OBSERVATORY[_wheel_on()]
 
 
 # -- shard round trip --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tests for the telemetry memos: the per-run causal pass shared by
-every report, and the metric-handle memo in ``MetricsRegistry``.
+every report, the metric-handle memo in ``MetricsRegistry`` and the
+handles hot sites hold (``MetricHandles``).
 
-Both memos are pure caches: every report, trace and metric must be the
-one the uncached path produces, and neither may travel in a shard.
+All are pure caches: every report, trace and metric must be the one the
+uncached path produces, and none may travel in a shard.
 """
 
 import enum
@@ -14,13 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Placement, WaveChannel, WaveOpts
 from repro.ghost import GhostAgent, GhostKernel, GhostTask
-from repro.hw import HwParams, Machine
-from repro.obs import MetricsRegistry, Span, Telemetry, analyze_report, \
-    run_report
+from repro.hw import HwParams, Interconnect, Machine
+from repro.obs import MetricHandles, MetricsRegistry, Span, Telemetry, \
+    analyze_report, run_report
 from repro.obs import causal
 from repro.obs.causal import CausalGraph, blame_table, layer_of, \
     request_traces
 from repro.obs.metrics import CounterMetric, _FrozenTimeWeighted, _key
+from repro.queues.ring import FloemRing
 from repro.sched import ShinjukuPolicy
 from repro.sim import Environment
 
@@ -373,3 +375,46 @@ def test_unpickled_registry_resolves_its_own_metrics():
     handle.incr()
     assert clone.counter("ops", kind="push").value == 3
     assert reg.counter("ops", kind="push").value == 2
+
+
+def test_held_handles_resolve_on_first_read_only():
+    env = Environment()
+    run = Telemetry().attach(env)
+    handles = MetricHandles(run, {
+        "push": ("counter", "ops", {"op": "push"}),
+        "depth": ("timeweighted", "depth", {}),
+        "lat": ("histogram", "lat_ns", {})}, ring="r")
+    assert len(run.metrics) == 0
+    handles.push.incr(2)
+    assert handles.push is run.metrics.counter("ops", ring="r", op="push")
+    assert len(run.metrics) == 1
+    handles.depth.set(3.0)
+    assert run.metrics.dump() == ('depth{ring="r"}:integral 0\n'
+                                  'depth{ring="r"}:last 3\n'
+                                  'ops{op="push",ring="r"} 2')
+    with pytest.raises(AttributeError):
+        handles.pop
+    assert len(run.metrics) == 2
+
+
+def test_ring_handles_follow_the_run_and_match_the_shorthands():
+    env = Environment()
+    link = Interconnect(HwParams.pcie())
+    ring = FloemRing(env, "r", link.host_local_path(),
+                     link.host_local_path())
+    first = Telemetry().attach(env)
+    ring.produce([1, 2])
+    ring.consume()
+    # Never polled: the poll counter stays out of the dump.
+    assert "poll" not in first.metrics.dump()
+    second = Telemetry().attach(env)
+    ring.produce([3])
+    ring.poll_cost()
+    assert first.metrics.counter("ring_ops", ring="r", op="push").value == 2
+    assert second.metrics.counter("ring_ops", ring="r", op="push").value == 1
+    # The same updates through the shorthands give the same dump.
+    reference = Telemetry().attach(Environment())
+    reference.count("ring_ops", by=1, ring="r", op="push")
+    reference.metrics.timeweighted("ring_depth", ring="r").set(len(ring))
+    reference.count("ring_ops", ring="r", op="poll")
+    assert second.metrics.dump() == reference.metrics.dump()

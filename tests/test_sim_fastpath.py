@@ -1,10 +1,12 @@
-"""Guards on the serial kernel's fast path (docs/performance.md, §1).
+"""Guards on the kernel's fast paths (docs/performance.md, §1 and §7).
 
 A dispatched event should cost the simulator a few Python calls, not a
 property read per clock access, a helper per staged admission or two
-frames per process resume. The call count is exact for a fixed seed, so
-the guard is deterministic; the clock test keeps ``Environment.now``
-read-only by contract now that it is a plain attribute.
+frames per process resume; an exact-order merge window should cost the
+partitioned engine no helper call at all. The call counts are exact for
+a fixed seed, so the guards are deterministic; the clock test keeps
+``Environment.now`` read-only by contract now that it is a plain
+attribute.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pstats
 
 import repro
 from repro.core import Placement, WaveOpts
+from repro.obs import Telemetry
 from repro.sched import FifoPolicy
 from repro.sched.experiment import run_sched_point
 from repro.workloads import RocksDbModel
@@ -28,9 +31,16 @@ SIM_DIR = os.path.join(PACKAGE_DIR, "sim") + os.sep
 #: seed, so the margin only absorbs interpreter-version differences.
 MAX_SIM_CALLS_PER_EVENT = 3.5
 
+#: Python calls into ``repro/sim/partition.py`` per exact-merge window
+#: on the same point under telemetry: 9.65 with helper calls for every
+#: window's selection, staging and observatory records; now at most
+#: 0.39 (cross-domain inserts and sends, wheel promotions). Exact for
+#: the seed, like the bound above.
+MAX_PARTITION_CALLS_PER_WINDOW = 1.5
+PARTITION_PY = os.path.join(PACKAGE_DIR, "sim", "partition.py")
+
 #: The only modules allowed to assign the clock: the dispatch loops.
-CLOCK_WRITERS = {os.path.join(PACKAGE_DIR, "sim", "core.py"),
-                 os.path.join(PACKAGE_DIR, "sim", "partition.py")}
+CLOCK_WRITERS = {os.path.join(PACKAGE_DIR, "sim", "core.py"), PARTITION_PY}
 
 
 def test_sim_calls_per_dispatched_event():
@@ -52,6 +62,32 @@ def test_sim_calls_per_dispatched_event():
     assert per_event <= MAX_SIM_CALLS_PER_EVENT, (
         f"{calls} calls into repro/sim for "
         f"{counters['events_dispatched']} dispatched events")
+
+
+def test_partition_calls_per_merge_window(monkeypatch):
+    # The point above under telemetry, which runs the exact-order merge
+    # (and fills the partition observatory) on every engine leg.
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    hub = Telemetry()
+    counters = {}
+    profiler = cProfile.Profile()
+    with hub:
+        profiler.enable()
+        try:
+            run_sched_point(Placement.NIC, WaveOpts.full(), 16, FifoPolicy,
+                            RocksDbModel.fifo_mix, 600_000,
+                            duration_ns=2_000_000, warmup_ns=400_000,
+                            seed=8, counters=counters)
+        finally:
+            profiler.disable()
+    calls = sum(entry[1] for func, entry in
+                pstats.Stats(profiler).stats.items()
+                if func[0] == PARTITION_PY)
+    windows = sum(hub.runs[0].partition.windows.values())
+    assert windows == counters["partition_switches"] > 0
+    assert calls / windows <= MAX_PARTITION_CALLS_PER_WINDOW, (
+        f"{calls} calls into repro/sim/partition.py for {windows} "
+        f"exact-merge windows")
 
 
 def _unpacked(target):
