@@ -219,7 +219,7 @@ _FAULT_STAGES = ("fault.fire", "fault.verdict", "fault.recover")
 def _run_sched_chaos(plan_name: str, seed: int,
                      timing: ChaosTiming) -> ChaosResult:
     env = Environment()
-    if getattr(env, "telemetry", None) is None:
+    if env.telemetry is None:
         # No globally installed hub: attach a private one restricted to
         # the fault lifecycle stages, which the report reads below.
         Telemetry(stage_filter=list(_FAULT_STAGES)).attach(

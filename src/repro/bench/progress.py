@@ -9,11 +9,11 @@ points instead of letting a sweep wait silently.
 
 Rendering modes (``REPRO_PROGRESS`` environment variable):
 
-- ``0`` -- silent (stall warnings still print);
-- ``1`` -- one line per completed point (CI-log friendly);
+- ``off`` (or ``0``) -- silent (stall warnings still print);
+- ``line`` (or ``1``) -- one line per completed point (CI-log friendly);
 - ``live`` -- a single ``\\r``-rewritten status line;
-- unset -- ``live`` when stderr is a tty, else a single summary line
-  when the sweep finishes.
+- ``summary`` -- a single summary line when the sweep finishes;
+- unset -- ``live`` when stderr is a tty, else ``summary``.
 
 Progress is presentation only: nothing here feeds the metrics digest,
 trace, or report, so a watched sweep stays byte-identical to a quiet
@@ -49,8 +49,8 @@ def resolve_mode(stream) -> str:
         return "off"
     if raw in ("1", "line", "lines"):
         return "line"
-    if raw == "live":
-        return "live"
+    if raw in ("live", "summary"):
+        return raw
     try:
         tty = stream.isatty()
     except Exception:

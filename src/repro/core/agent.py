@@ -123,7 +123,7 @@ class WaveAgent:
         watchdog's silence threshold can fire); a crash plan delivers a
         kill interrupt out-of-band. No-op without an injector attached.
         """
-        faults = getattr(self.env, "faults", None)
+        faults = self.env.faults
         if faults is None:
             return
         stall = faults.on_agent_checkpoint(self)

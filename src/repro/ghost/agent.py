@@ -73,7 +73,7 @@ class GhostAgent(WaveAgent):
         self.dispatches = 0
         self.preempts_issued = 0
         self._track = f"agent:{name}"
-        tel = getattr(channel.env, "telemetry", None)
+        tel = channel.env.telemetry
         if tel is not None:
             self.policy.attach_telemetry(tel.metrics)
 
@@ -105,7 +105,7 @@ class GhostAgent(WaveAgent):
                 if not messages:
                     cost += ring.poll_cost()
                 yield env.timeout(cost)
-                tel = getattr(env, "telemetry", None)
+                tel = env.telemetry
                 batch_span = (tel.begin("agent.loop", self._track)
                               if tel is not None and messages else None)
                 touched: Set[int] = set()
@@ -171,7 +171,7 @@ class GhostAgent(WaveAgent):
 
     def _dispatch(self, touched: Set[int]):
         """Serve waiting cores first, then prestage for busy ones."""
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         waiting = self._waiting
         for core in sorted(touched):
             if core not in waiting:
@@ -244,7 +244,7 @@ class GhostAgent(WaveAgent):
             self.heartbeat()
 
     def _issue_preemptions(self):
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         for core in self.policy.preemptions_due(self.env.now):
             next_task = self.policy.dequeue()
             if next_task is None:

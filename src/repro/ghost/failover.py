@@ -94,7 +94,7 @@ class FailoverManager:
         self._failover_inflight = True
         self.last_detected_at = self.env.now
         self.detections_ns.append(self.env.now)
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         if tel is not None:
             tel.span("fault.verdict", "faults", agent=dead_agent.name)
             tel.count("fault_detections")
@@ -110,7 +110,7 @@ class FailoverManager:
         self.current = replacement
         self.last_recovered_at = self.env.now
         self.recovery_latencies_ns.append(self.env.now - detected_at)
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         if tel is not None:
             tel.span("fault.recover", "faults", start_ns=detected_at,
                      dur_ns=self.env.now - detected_at,

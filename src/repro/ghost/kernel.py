@@ -96,7 +96,7 @@ class GhostKernel:
         the kernel wakeup path plus the TASK_NEW message send)."""
         task.created_at = self.env.now
         self._live_tasks[task.tid] = task
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         message = Message(TASK_NEW, task)
         if tel is not None:
             # Continue the request's causal chain when the payload
@@ -161,7 +161,7 @@ class GhostKernel:
 
         just_preempted = False
         while True:
-            tel = getattr(env, "telemetry", None)
+            tel = env.telemetry
             # ---- acquire a decision ----
             self._phase[core] = _ACQUIRE
             if opts.prestage:

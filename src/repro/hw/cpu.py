@@ -9,16 +9,11 @@ C-state and stops counting against the socket's turbo budget.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from repro.hw.params import HwParams
 from repro.hw.turbo import TurboGovernor
 from repro.sim import Environment, TimeWeightedValue
-
-#: Set to force the event-per-tick legacy loop instead of the analytic
-#: virtual-tick accounting (debugging / the equivalence tests).
-LEGACY_TICKS_ENV = "REPRO_LEGACY_TICKS"
 
 
 class Core:
@@ -247,17 +242,16 @@ class HostCpu:
         idle core, keeps it out of deep sleep -- the interference the
         Wave VM policy eliminates (section 7.2.4).
 
-        By default ticks are accounted analytically (see
+        Ticks are accounted analytically (see
         :meth:`Core.enable_virtual_ticks`): zero scheduler events per
-        tick, identical observable behaviour. The event-per-tick loop is
-        kept for two cases: ``REPRO_LEGACY_TICKS`` in the environment
-        (debugging, equivalence tests), and ``tick_period >=
+        tick, identical observable behaviour. The event-per-tick loop
+        (:meth:`_tick_loop`) runs only when ``tick_period >=
         deep_sleep_entry`` -- slow ticks have real sleep/wake edges
-        between ticks, so the analytic model would diverge.
+        between ticks, so the analytic model would diverge -- and as
+        the reference the virtual-tick tests compare against.
         """
         params = self.params
-        legacy = (bool(os.environ.get(LEGACY_TICKS_ENV))
-                  or params.tick_period >= params.deep_sleep_entry)
+        legacy = params.tick_period >= params.deep_sleep_entry
         for core in socket.cores:
             if legacy:
                 self.env.process(self._tick_loop(core),

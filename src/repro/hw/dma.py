@@ -42,7 +42,7 @@ class DmaEngine:
             raise ValueError("nbytes must be non-negative")
         duration = (self.params.dma_base_latency
                     + nbytes / self.params.dma_bandwidth)
-        faults = getattr(self.env, "faults", None)
+        faults = self.env.faults
         if faults is not None:
             duration *= faults.interconnect_factor()
         return duration
@@ -55,7 +55,7 @@ class DmaEngine:
         ``dma_max_retries`` reissues the final attempt is forced
         through, so a transfer always completes in bounded time.
         """
-        faults = getattr(self.env, "faults", None)
+        faults = self.env.faults
         if faults is None:
             return 0.0
         penalty = 0.0
@@ -69,7 +69,7 @@ class DmaEngine:
             self.timeouts += 1
             self.retries += 1
         if attempts:
-            tel = getattr(self.env, "telemetry", None)
+            tel = self.env.telemetry
             if tel is not None:
                 tel.count("dma_retries", by=attempts)
         return penalty
@@ -81,7 +81,7 @@ class DmaEngine:
         A DMA op is a designated causal root: without an inbound ``ctx``
         the span mints a fresh request context of its own.
         """
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         if tel is None:
             return
         tel.span("dma.transfer", "dma", dur_ns=duration, ctx=ctx,

@@ -70,8 +70,8 @@ class SmartNic:
         """
         self.msix_sent += 1
         send = self.interconnect.msix_send(via_ioctl)
-        tel = getattr(self.env, "telemetry", None)
-        faults = getattr(self.env, "faults", None)
+        tel = self.env.telemetry
+        faults = self.env.faults
         if faults is not None and faults.on_msix_send():
             self.msix_lost += 1
             if tel is not None:

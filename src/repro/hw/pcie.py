@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.hw.params import HwParams
 from repro.hw.paths import (
     HostMmioPath,
@@ -11,6 +13,15 @@ from repro.hw.paths import (
     MemPath,
 )
 from repro.hw.pte import PteType
+from repro.obs.spans import MetricHandles
+
+#: The link's metric handles (:class:`MetricHandles`).
+_LINK_METRICS = {
+    "mmio_read": ("counter", "mmio_ops", {"op": "read"}),
+    "mmio_write": ("counter", "mmio_ops", {"op": "write"}),
+    "msix_ioctl": ("counter", "msix_sends", {"via": "ioctl"}),
+    "msix_reg": ("counter", "msix_sends", {"via": "reg"}),
+}
 
 
 class Interconnect:
@@ -23,7 +34,12 @@ class Interconnect:
     does) and a fault injector is active, a transient ``pcie-stall``
     inflates everything that traverses the link -- the MMIO primitives
     and the wire portion of MSI-X delivery -- by the stall factor.
+    Without an ``env`` (a link built only for its costs or its
+    :meth:`partition_plan`) there is neither fault nor telemetry.
     """
+
+    #: Metric handles of the run last instrumented, built on first use.
+    _tel_handles: Optional[MetricHandles] = None
 
     def __init__(self, params: HwParams, env=None):
         self.params = params
@@ -31,33 +47,41 @@ class Interconnect:
 
     def _stall_factor(self) -> float:
         """Current congestion inflation (1.0 outside stall windows)."""
-        faults = getattr(self.env, "faults", None) if self.env else None
+        faults = self.env.faults if self.env is not None else None
         return faults.interconnect_factor() if faults is not None else 1.0
 
-    def _telemetry(self):
-        return getattr(self.env, "telemetry", None) if self.env else None
+    def _handles(self) -> Optional[MetricHandles]:
+        """The metric handles of the run instrumenting this link (kept
+        while that run lasts), or None without telemetry."""
+        tel = self.env.telemetry if self.env is not None else None
+        if tel is None:
+            return None
+        handles = self._tel_handles
+        if handles is None or handles.tel is not tel:
+            handles = self._tel_handles = MetricHandles(tel, _LINK_METRICS)
+        return handles
 
     # -- Table 2 primitives ---------------------------------------------
 
     def mmio_read(self) -> float:
         """Host 64-bit uncacheable MMIO read (row 1)."""
-        tel = self._telemetry()
-        if tel is not None:
-            tel.count("mmio_ops", op="read")
+        handles = self._handles()
+        if handles is not None:
+            handles.mmio_read.incr()
         return self.params.mmio_read_uc * self._stall_factor()
 
     def mmio_write(self) -> float:
         """Host 64-bit uncacheable MMIO write (row 2)."""
-        tel = self._telemetry()
-        if tel is not None:
-            tel.count("mmio_ops", op="write")
+        handles = self._handles()
+        if handles is not None:
+            handles.mmio_write.incr()
         return self.params.mmio_write_uc * self._stall_factor()
 
     def msix_send(self, via_ioctl: bool = True) -> float:
         """Device-side cost of raising an MSI-X (rows 3-4)."""
-        tel = self._telemetry()
-        if tel is not None:
-            tel.count("msix_sends", via="ioctl" if via_ioctl else "reg")
+        handles = self._handles()
+        if handles is not None:
+            (handles.msix_ioctl if via_ioctl else handles.msix_reg).incr()
         return (self.params.msix_send_ioctl if via_ioctl
                 else self.params.msix_send_reg)
 

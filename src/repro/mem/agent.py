@@ -170,7 +170,7 @@ class MemoryAgent:
                 madvise_ns = self.tiers.apply_decisions(
                     iteration.to_fast, iteration.to_slow)
                 yield env.timeout(madvise_ns)
-            tel = getattr(env, "telemetry", None)
+            tel = env.telemetry
             if tel is not None:
                 self._observe(tel, iteration, started, total,
                               dma_in, dma_out, madvise_ns)

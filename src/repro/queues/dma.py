@@ -57,7 +57,7 @@ class DmaQueue:
         """
         if not items:
             return 0.0, None
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         span = pctx = None
         if tel is not None:
             # Record the hop before launching so the engine's transfer
@@ -127,7 +127,7 @@ class DmaQueue:
             items.append(item)
         self.consumed += len(items)
         if items:
-            tel = getattr(self.env, "telemetry", None)
+            tel = self.env.telemetry
             if tel is not None:
                 span = tel.span("dmaq.consume", f"ring:{self.name}",
                                 dur_ns=cost, links=batch_links(items),

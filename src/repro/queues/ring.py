@@ -115,7 +115,7 @@ class FloemRing:
         writing the scheduler's NIC-resident message ring locally).
         """
         producer = via if via is not None else self.producer_path
-        faults = getattr(self.env, "faults", None)
+        faults = self.env.faults
         fault_delay = 0.0
         if faults is not None:
             items, fault_delay, n_dropped, n_duplicated = (
@@ -144,7 +144,7 @@ class FloemRing:
             self.produced += accepted
             self.max_depth = max(self.max_depth, len(entries))
             self._announce(visible_at)
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         if tel is not None:
             span = tel.span("ring.produce", f"ring:{self.name}", dur_ns=cost,
                             links=batch_links(accepted_items), n=accepted)
@@ -192,10 +192,10 @@ class FloemRing:
         if not self.coherent:
             cost += self.consumer_path.invalidate(0, 1)
         cost += self.consumer_path.read_words(0, 1, self.env.now + cost)
-        faults = getattr(self.env, "faults", None)
+        faults = self.env.faults
         if faults is not None:
             cost *= faults.path_cost_factor(self.consumer_path)
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         if tel is not None:
             handles = self._tel_handles
             if handles is None or handles.tel is not tel:
@@ -225,12 +225,12 @@ class FloemRing:
                 cost += self.consumer_path.invalidate(addr, words)
             cost += self.consumer_path.read_words(addr, words, now + cost)
             items.append(item)
-        faults = getattr(self.env, "faults", None)
+        faults = self.env.faults
         if faults is not None:
             cost *= faults.path_cost_factor(self.consumer_path)
         self.consumed += len(items)
         if items:
-            tel = getattr(self.env, "telemetry", None)
+            tel = self.env.telemetry
             if tel is not None:
                 span = tel.span("ring.consume", f"ring:{self.name}",
                                 dur_ns=cost, links=batch_links(items),

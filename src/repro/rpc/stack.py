@@ -78,7 +78,7 @@ class RpcStack:
         track = f"rpc:{self.name}"
         while True:
             kind, request = yield self._work.get()
-            tel = getattr(env, "telemetry", None)
+            tel = env.telemetry
             if kind == "request":
                 yield env.timeout(self.request_proc_ns)
                 self.busy_ns += self.request_proc_ns

@@ -23,15 +23,11 @@ _default_telemetry = None
 #: nearly all reuse while bounding worst-case retention.
 _POOL_MAX = 256
 
-#: Environment variable disabling the timer wheel (all timers go to the
-#: heap, as before this optimization). Debug/differential-testing knob;
-#: the wheel-vs-heap property tests drive it per-instance instead.
-_NO_WHEEL_ENV = "REPRO_NO_TIMER_WHEEL"
-
 #: Environment variable disabling the partitioned kernel: with it set,
 #: :meth:`Environment.enable_partition` is a no-op and every run takes
-#: the serial single-queue path. Differential-testing escape hatch,
-#: mirroring REPRO_NO_TIMER_WHEEL.
+#: the serial single-queue path. The window-batched engine it turns off
+#: can change results, so this is the one kernel hatch that is not
+#: result-neutral.
 _NO_PARTITION_ENV = "REPRO_NO_PARTITION"
 
 _INF = float("inf")
@@ -100,9 +96,13 @@ class Environment:
     - Far-future timers (delay >= ``MIN_WHEEL_DELAY``) are filed in a
       hierarchical :class:`~repro.sim.wheel.TimerWheel` instead of the
       heap; buckets are promoted into the heap strictly before any of
-      their entries could be due, preserving exact
-      ``(time, priority, seq)`` dispatch order. ``use_wheel=False`` (or
-      ``REPRO_NO_TIMER_WHEEL=1``) restores the pure-heap kernel.
+      their entries could be due (:meth:`TimerWheel.promote_due
+      <repro.sim.wheel.TimerWheel.promote_due>`, shared with the
+      partitioned engine), preserving exact
+      ``(time, priority, seq)`` dispatch order. ``use_wheel=False``
+      builds the pure-heap kernel: the reference engine the
+      conformance suite (``tests/conformance/``) diffs every other
+      engine against. The partitioned engine refuses to install on it.
     - Events scheduled *during* dispatch are staged; when the earliest
       staged entry provably precedes everything in the heap and wheel,
       it is dispatched inline without a heap round trip (same-timestamp
@@ -119,15 +119,16 @@ class Environment:
     Engine contract: the queueing machinery behind this class is
     *pluggable*. :meth:`enable_partition` swaps in the partitioned
     engine from :mod:`repro.sim.partition` (per-domain heap + wheel,
-    conservative lookahead windows). Its exact-order merge, like every
-    serial variant, preserves the observable kernel semantics -- exact
-    ``(time, priority, seq)`` dispatch order, the :attr:`_seq` stream,
-    and :attr:`events_dispatched` -- which the cross-engine conformance
-    suite (``tests/conformance/``) pins; its window-batched mode may
-    reorder same-time cross-domain events and so can change results
-    (``docs/performance.md`` section 7). Per-engine *admission* counters
-    (:attr:`events_scheduled`, :attr:`timers_coalesced`, wheel
-    diagnostics) may legitimately differ between engines.
+    conservative lookahead windows). Its exact-order merge, like the
+    heap-only reference kernel, preserves the observable kernel
+    semantics -- exact ``(time, priority, seq)`` dispatch order, the
+    :attr:`_seq` stream, and :attr:`events_dispatched` -- which the
+    cross-engine conformance suite (``tests/conformance/``) pins; its
+    window-batched mode may reorder same-time cross-domain events and
+    so can change results (``docs/performance.md`` section 7).
+    Per-engine *admission* counters (:attr:`events_scheduled`,
+    :attr:`timers_coalesced`, wheel diagnostics) may legitimately
+    differ between engines.
     """
 
     __slots__ = ("now", "_queue", "_seq", "_active_process", "faults",
@@ -136,16 +137,13 @@ class Environment:
                  "events_scheduled", "events_dispatched", "timers_coalesced",
                  "cancelled_purged", "_cancel_backlog")
 
-    def __init__(self, initial_time: float = 0,
-                 use_wheel: Optional[bool] = None):
+    def __init__(self, initial_time: float = 0, use_wheel: bool = True):
         #: Current simulated time (ns); only the dispatch loops assign it.
         self.now = initial_time
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._timeout_pool: List[Timeout] = []
-        if use_wheel is None:
-            use_wheel = not os.environ.get(_NO_WHEEL_ENV)
         self._wheel: Optional[TimerWheel] = TimerWheel() if use_wheel \
             else None
         #: Events scheduled while a dispatch is in flight; flushed to the
@@ -170,13 +168,14 @@ class Environment:
         #: trigger on backlog size without scanning anything.
         self._cancel_backlog = 0
         #: Optional :class:`repro.sim.faults.FaultInjector`. Instrumented
-        #: subsystems consult this at their protocol edges; ``None`` (the
-        #: default) means every fault hook is a no-op.
+        #: subsystems read this slot directly at their protocol edges;
+        #: ``None`` (the default) means every fault hook is a no-op.
         self.faults = None
         #: Optional :class:`repro.obs.spans.RunTelemetry`. Instrumented
-        #: subsystems emit spans/metrics through this at their protocol
-        #: edges; ``None`` (the default) disables telemetry at the cost
-        #: of a single attribute load per edge.
+        #: subsystems read this slot directly and emit spans/metrics
+        #: through it at their protocol edges; ``None`` (the default)
+        #: disables telemetry at the cost of a single attribute load
+        #: per edge.
         self.telemetry = None
         #: Optional :class:`repro.obs.timeline.RunTimeline` sampler, set
         #: by :meth:`repro.obs.spans.Telemetry.attach` when the hub
@@ -209,70 +208,55 @@ class Environment:
         ``env.timeout()`` dominates allocation in every experiment, so
         the returned object is owned by the kernel once it has fired.
         """
+        pool = self._timeout_pool
+        if not pool:
+            return Timeout(self, delay, value)
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        timer = pool.pop()
+        # Inline of Timeout._reset and of _schedule below: this is the
+        # hottest allocation site in every experiment, so skip both
+        # method calls.
+        timer.delay = delay
+        timer.callbacks = []
+        timer._value = value
+        timer._ok = True
+        timer._defused = False
+        timer._cancelled = False
+        timer._cross = False
+        self._seq += 1
         part = self._partition
         if part is not None:
-            pool = self._timeout_pool
-            if pool:
-                if delay < 0:
-                    raise ValueError(f"negative delay {delay}")
-                timer = pool.pop()
-                timer.delay = delay
-                timer.callbacks = []
-                timer._value = value
-                timer._ok = True
-                timer._defused = False
-                timer._cancelled = False
-                timer._cross = False
-                self._seq += 1
-                domain = part.current
-                if part._running and domain is part._run_domain:
-                    # Inline of Partition._insert's running-domain
-                    # cases (wheel file or staged append, no
-                    # bound/fence updates apply): dodges two call hops
-                    # on the hottest allocation site in every
-                    # experiment, which is most of the partitioned
-                    # kernel's per-event overhead vs this serial path.
-                    wheel = domain.wheel
-                    if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                        wheel.insert(self.now + delay, NORMAL, self._seq,
-                                     timer, delay >= MIN_COARSE_DELAY)
-                    else:
-                        domain.staged.append(
-                            (self.now + delay, NORMAL, self._seq, timer))
+            domain = part.current
+            if part._running and domain is part._run_domain:
+                # Inline of PartitionEngine._insert's running-domain
+                # cases (wheel file or staged append, no bound/fence
+                # updates apply): dodges two call hops, which is most
+                # of the partitioned kernel's per-event overhead vs the
+                # serial path.
+                if delay >= MIN_WHEEL_DELAY:
+                    domain.wheel.insert(self.now + delay, NORMAL, self._seq,
+                                        timer, delay >= MIN_COARSE_DELAY)
                 else:
-                    part._insert(domain, self.now + delay, NORMAL,
-                                 self._seq, timer, delay)
-                return timer
-            return Timeout(self, delay, value)
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            timer = pool.pop()
-            # Inline of Timeout._reset: this is the hottest allocation
-            # site in every experiment, so skip the method call too.
-            timer.delay = delay
-            timer.callbacks = []
-            timer._value = value
-            timer._ok = True
-            timer._defused = False
-            timer._cancelled = False
-            timer._cross = False
-            self._seq += 1
-            wheel = self._wheel
-            if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                wheel.insert(self.now + delay, NORMAL, self._seq, timer,
-                             delay >= MIN_COARSE_DELAY)
+                    domain.staged.append(
+                        (self.now + delay, NORMAL, self._seq, timer))
             else:
-                entry = (self.now + delay, NORMAL, self._seq, timer)
-                staged = self._staged
-                if staged is not None:
-                    staged.append(entry)
-                else:
-                    self.events_scheduled += 1
-                    heapq.heappush(self._queue, entry)
+                part._insert(domain, self.now + delay, NORMAL, self._seq,
+                             timer, delay)
             return timer
-        return Timeout(self, delay, value)
+        wheel = self._wheel
+        if wheel is not None and delay >= MIN_WHEEL_DELAY:
+            wheel.insert(self.now + delay, NORMAL, self._seq, timer,
+                         delay >= MIN_COARSE_DELAY)
+        else:
+            entry = (self.now + delay, NORMAL, self._seq, timer)
+            staged = self._staged
+            if staged is not None:
+                staged.append(entry)
+            else:
+                self.events_scheduled += 1
+                heapq.heappush(self._queue, entry)
+        return timer
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start running ``generator`` as a simulation process."""
@@ -295,10 +279,10 @@ class Environment:
             domain = part.current
             if part._running and domain is part._run_domain:
                 # Same running-domain inline as timeout() above.
-                wheel = domain.wheel
-                if wheel is not None and delay >= MIN_WHEEL_DELAY:
-                    wheel.insert(self.now + delay, priority, self._seq,
-                                 event, delay >= MIN_COARSE_DELAY)
+                if delay >= MIN_WHEEL_DELAY:
+                    domain.wheel.insert(self.now + delay, priority,
+                                        self._seq, event,
+                                        delay >= MIN_COARSE_DELAY)
                 else:
                     domain.staged.append(
                         (self.now + delay, priority, self._seq, event))
@@ -327,46 +311,29 @@ class Environment:
         elif type(event) is RearmableTimer:
             event._has_entry = False
 
-    def _push_rearmed(self, event: RearmableTimer, surfaced_at: float,
-                      priority: int) -> None:
+    def _push_rearmed(self, queue: List[Tuple[float, int, int, Event]],
+                      wheel: Optional[TimerWheel], event: RearmableTimer,
+                      surfaced_at: float, priority: int) -> None:
         """Re-key a re-armed poll timer whose stale entry just surfaced.
 
-        The entry takes the sequence number allocated when the timer was
-        re-armed (``_rearm_seq``), not a fresh one: a timer re-armed at
-        time t must tie-break against other same-deadline events exactly
-        like a timeout *created* at t, or re-arming could flip
+        The entry goes back to the heap ``queue`` or the ``wheel`` it
+        surfaced from (the serial kernel's own, or one partition
+        domain's: domain placement never affects dispatch order). It
+        takes the sequence number allocated when the timer was re-armed
+        (``_rearm_seq``), not a fresh one: a timer re-armed at time t
+        must tie-break against other same-deadline events exactly like
+        a timeout *created* at t, or re-arming could flip
         same-timestamp dispatch order relative to the plain-heap kernel.
         """
         fire_at = event._fire_at
-        wheel = self._wheel
         if wheel is not None and fire_at - surfaced_at >= MIN_WHEEL_DELAY:
             wheel.insert(fire_at, priority, event._rearm_seq, event,
                          fire_at - surfaced_at >= MIN_COARSE_DELAY)
         else:
             self.events_scheduled += 1
-            heapq.heappush(self._queue,
+            heapq.heappush(queue,
                            (fire_at, priority, event._rearm_seq, event))
         event._entry_at = fire_at
-
-    def _promote_due(self, stop_at: float) -> None:
-        """Promote wheel buckets due before the next heap entry.
-
-        A bucket is *due* once its start time is at or before the
-        earliest heap entry (raw head: a cancelled head is a safe lower
-        bound) and at or before ``stop_at``. Promoting whole buckets at
-        that point guarantees no wheel entry can be dispatched late.
-        """
-        wheel = self._wheel
-        queue = self._queue
-        while wheel._count:
-            start = wheel.next_start()
-            if start > stop_at:
-                break
-            if queue and queue[0][0] < start:
-                break
-            wheel.promote_next(self, queue)
-        else:
-            wheel._next_start = _INF
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -446,7 +413,8 @@ class Environment:
                             # reach the staged fast path too (armed and
                             # re-armed within one dispatch): re-key it,
                             # exactly like the heap-pop path below.
-                            self._push_rearmed(event, cand[0], cand[1])
+                            self._push_rearmed(queue, wheel, event,
+                                               cand[0], cand[1])
                             continue
                         entry = cand
                 if entry is None:
@@ -454,13 +422,13 @@ class Environment:
                         head_time = queue[0][0]
                         if (wheel is not None
                                 and wheel._next_start <= head_time):
-                            self._promote_due(stop_at)
+                            wheel.promote_due(self, queue, stop_at)
                             head_time = queue[0][0] if queue else _INF
                         if head_time > stop_at:
                             break
                     else:
                         if wheel is not None and wheel._next_start <= stop_at:
-                            self._promote_due(stop_at)
+                            wheel.promote_due(self, queue, stop_at)
                         if not queue or queue[0][0] > stop_at:
                             break
                     cand = pop(queue)
@@ -477,7 +445,8 @@ class Environment:
                         # Stale entry of a re-armed poll timer: re-key it
                         # at the real deadline (and the seq allocated at
                         # re-arm time) without advancing the clock.
-                        self._push_rearmed(event, cand[0], cand[1])
+                        self._push_rearmed(queue, wheel, event, cand[0],
+                                           cand[1])
                         continue
                     entry = cand
                 if tl_next <= entry[0]:
@@ -585,6 +554,9 @@ class Environment:
 
         - ``use_partition`` is False (explicit opt-out), or
         - ``REPRO_NO_PARTITION`` is set in the environment, or
+        - the environment has no timer wheel (``use_wheel=False``: the
+          heap-only reference kernel; every domain files its far
+          timers in a wheel), or
         - the plan is missing / has fewer than two domains, or
         - any lookahead window is zero or negative -- a conservative
           engine with no lookahead cannot outrun the serial kernel, so
@@ -597,12 +569,13 @@ class Environment:
 
         if use_partition is None:
             use_partition = not os.environ.get(_NO_PARTITION_ENV)
-        if not use_partition or plan is None or not plan.usable():
+        wheel = self._wheel
+        if (not use_partition or wheel is None or plan is None
+                or not plan.usable()):
             return None
         if self._engine is not None:
             raise RuntimeError("partition engine already installed")
-        if self._queue or self._staged or (
-                self._wheel is not None and self._wheel._count):
+        if self._queue or self._staged or wheel._count:
             raise RuntimeError(
                 "enable_partition() requires a fresh environment "
                 "(events already scheduled)")

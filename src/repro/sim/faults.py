@@ -36,10 +36,10 @@ Fault classes (:data:`FAULT_KINDS`):
     Make DMA completions time out; the engine retries with exponential
     backoff (see :class:`~repro.hw.dma.DmaEngine`).
 
-Hooks are pull-based and cheap: a subsystem does
-``faults = getattr(env, "faults", None)`` and, when an injector is
-attached, calls the matching ``on_*`` method. With no injector attached
-every hook is a single attribute load, so the happy path stays honest.
+Hooks are pull-based and cheap: a subsystem reads ``env.faults`` and,
+when an injector is attached, calls the matching ``on_*`` method. With
+no injector attached every hook is a single attribute load, so the
+happy path stays honest.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ class FaultInjector:
 
     def arm(self) -> "FaultInjector":
         """Attach to the environment and start time-triggered drivers."""
-        existing = getattr(self.env, "faults", None)
+        existing = self.env.faults
         if existing is not None and existing is not self:
             raise RuntimeError("another FaultInjector is already attached")
         self.env.faults = self
@@ -222,7 +222,7 @@ class FaultInjector:
         return self
 
     def disarm(self) -> None:
-        if getattr(self.env, "faults", None) is self:
+        if self.env.faults is self:
             self.env.faults = None
 
     def _arm_crash_timers(self, agent) -> None:
@@ -265,7 +265,7 @@ class FaultInjector:
     def _record(self, state: _PlanState, kind: str, detail: str) -> None:
         state.fires += 1
         self.log.append(FaultRecord(self.env.now, kind, detail))
-        tel = getattr(self.env, "telemetry", None)
+        tel = self.env.telemetry
         if tel is not None:
             # A fault event is a designated causal root (it has no
             # inbound request; anything it perturbs traces back to it).

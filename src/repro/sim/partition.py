@@ -78,15 +78,16 @@ dispatched.
 **Fallbacks.** The serial single-queue kernel remains available;
 :meth:`Environment.enable_partition` refuses to install (returning
 None) when ``REPRO_NO_PARTITION`` is set, ``use_partition=False`` is
-passed, or any lookahead window is zero/negative -- a conservative
-engine with no lookahead degenerates to lockstep, so zero-lookahead
-plans fall back to the serial path by design. Lookahead is enforced on
-the explicit cross-domain channel (:meth:`Environment.cross_timeout`):
-a send below the declared minimum raises :class:`LookaheadViolation`.
-This is the machine-checked form of the forward-in-time causality
-assumption the Borrill critique attacks -- the kernel *states* the
-windows it relies on and refuses inputs that break them, instead of
-assuming them silently.
+passed, the environment has no timer wheel (the heap-only reference
+kernel: every domain owns a wheel), or any lookahead window is
+zero/negative -- a conservative engine with no lookahead degenerates
+to lockstep, so zero-lookahead plans fall back to the serial path by
+design. Lookahead is enforced on the explicit cross-domain channel
+(:meth:`Environment.cross_timeout`): a send below the declared minimum
+raises :class:`LookaheadViolation`. This is the machine-checked form of
+the forward-in-time causality assumption the Borrill critique attacks
+-- the kernel *states* the windows it relies on and refuses inputs that
+break them, instead of assuming them silently.
 """
 
 from __future__ import annotations
@@ -309,8 +310,7 @@ class Domain:
 
     __slots__ = ("name", "index", "queue", "wheel", "staged", "_ran_to")
 
-    def __init__(self, name: str, index: int,
-                 wheel: Optional[TimerWheel]):
+    def __init__(self, name: str, index: int, wheel: TimerWheel):
         self.name = name
         self.index = index
         self.queue: List[Tuple[float, int, int, Event]] = []
@@ -326,7 +326,7 @@ class Domain:
 
     def __repr__(self) -> str:
         return (f"<Domain {self.name!r} queue={len(self.queue)} "
-                f"wheel={len(self.wheel) if self.wheel is not None else 0}>")
+                f"wheel={len(self.wheel)}>")
 
 
 class _DomainContext:
@@ -371,17 +371,13 @@ class PartitionEngine:
     def __init__(self, env: Environment, plan: PartitionPlan):
         self.env = env
         self.plan = plan
-        use_wheel = env._wheel is not None
         self.domains: List[Domain] = []
         self._by_name: Dict[str, Domain] = {}
         for index, name in enumerate(plan.names):
-            if index == 0:
-                # The first-listed domain adopts the (empty) structures
-                # the environment built, so `env._wheel is None` keeps
-                # meaning "wheel disabled" for every domain.
-                wheel = env._wheel
-            else:
-                wheel = TimerWheel() if use_wheel else None
+            # The first-listed domain adopts the (empty) heap and wheel
+            # the environment built; the handoff moves everything back
+            # into them.
+            wheel = env._wheel if index == 0 else TimerWheel()
             domain = Domain(name, index, wheel)
             self.domains.append(domain)
             self._by_name[name] = domain
@@ -406,7 +402,7 @@ class PartitionEngine:
         #: telemetry-instrumented (None keeps the engine zero-cost).
         #: ``_lookahead[src.index][dst.index]`` is the plan's window for
         #: the pair, read by the exact merge's stall accounting.
-        tel = getattr(env, "telemetry", None)
+        tel = env.telemetry
         if tel is not None:
             self.observatory = PartitionObservatory(self.domain_names())
             tel.partition = self.observatory
@@ -490,8 +486,8 @@ class PartitionEngine:
         the inner loop can never dispatch past them.
         """
         env = self.env
-        wheel = domain.wheel
-        if wheel is not None and delay >= MIN_WHEEL_DELAY:
+        if delay >= MIN_WHEEL_DELAY:
+            wheel = domain.wheel
             # Wheel inserts can never misorder a batched round: the
             # minimum wheel delay (4096 ns) exceeds every fence's
             # lookahead credit, so `when` is beyond any _ran_to.
@@ -560,26 +556,6 @@ class PartitionEngine:
             timer._cross = True
         return timer
 
-    def _push_rearmed(self, domain: Domain, surfaced_at: float,
-                      priority: int, event: RearmableTimer) -> None:
-        """Re-key a re-armed poll timer in the domain that surfaced it.
-
-        Same re-keying rule as the serial kernel (`_rearm_seq`, exact
-        legacy tie-break order); the entry stays in the domain whose
-        queue held it -- domain placement never affects dispatch order,
-        only staging and bounds.
-        """
-        fire_at = event._fire_at
-        wheel = domain.wheel
-        if wheel is not None and fire_at - surfaced_at >= MIN_WHEEL_DELAY:
-            wheel.insert(fire_at, priority, event._rearm_seq, event,
-                         fire_at - surfaced_at >= MIN_COARSE_DELAY)
-        else:
-            self.env.events_scheduled += 1
-            heappush(domain.queue,
-                     (fire_at, priority, event._rearm_seq, event))
-        event._entry_at = fire_at
-
     def _flush_staged(self, domain: Domain) -> None:
         staged = domain.staged
         if staged:
@@ -589,21 +565,6 @@ class PartitionEngine:
                 push(queue, entry)
             self.env.events_scheduled += len(staged)
             del staged[:]
-
-    def _promote_domain(self, domain: Domain, stop_at: float) -> None:
-        """Promote ``domain``'s due wheel buckets (serial promotion rule)."""
-        wheel = domain.wheel
-        queue = domain.queue
-        env = self.env
-        while wheel._count:
-            start = wheel.next_start()
-            if start > stop_at:
-                break
-            if queue and queue[0][0] < start:
-                break
-            wheel.promote_next(env, queue)
-        else:
-            wheel._next_start = _INF
 
     # -- the merge ---------------------------------------------------------
 
@@ -628,12 +589,13 @@ class PartitionEngine:
                 continue
             if type(event) is RearmableTimer and event._rearm_seq != head[2]:
                 heappop(queue)
-                self._push_rearmed(domain, head[0], head[1], event)
+                env._push_rearmed(queue, domain.wheel, event, head[0],
+                                  head[1])
                 continue
             qhead = head
             break
         wheel = domain.wheel
-        if wheel is not None and wheel._count:
+        if wheel._count:
             start = wheel._next_start
             if qhead is None or start < qhead[0]:
                 return (start, -1, -1)
@@ -668,12 +630,12 @@ class PartitionEngine:
             if best is None or best_key[0] > stop_at:
                 return None
             wheel = best.wheel
-            if wheel is not None and wheel._count:
+            if wheel._count:
                 queue = best.queue
                 if not queue or wheel._next_start <= queue[0][0]:
                     # The winner's earliest event may still be parked in
                     # its wheel: promote the due buckets and re-select.
-                    self._promote_domain(best, stop_at)
+                    wheel.promote_due(self.env, queue, stop_at)
                     continue
             return best, second, second_owner
 
@@ -737,14 +699,13 @@ class PartitionEngine:
                         if type(event) is rearm_type \
                                 and event._rearm_seq != head[2]:
                             pop(queue)
-                            self._push_rearmed(domain, head[0], head[1],
-                                               event)
+                            env._push_rearmed(queue, domain.wheel, event,
+                                              head[0], head[1])
                             continue
                         key = head
                         break
                     wheel = domain.wheel
-                    if wheel is not None and wheel._count \
-                            and wheel._next_start < key[0]:
+                    if wheel._count and wheel._next_start < key[0]:
                         # Conservative: every parked entry's deadline is
                         # at or after its bucket's start.
                         key = (wheel._next_start, -1, -1)
@@ -761,11 +722,11 @@ class PartitionEngine:
                 domain = best
                 queue = domain.queue
                 wheel = domain.wheel
-                if wheel is not None and wheel._count and (
+                if wheel._count and (
                         not queue or wheel._next_start <= queue[0][0]):
                     # The winner's earliest event may still be parked in
                     # its wheel: promote the due buckets and re-select.
-                    self._promote_domain(domain, stop_at)
+                    wheel.promote_due(env, queue, stop_at)
                     continue
 
                 # -- one window of ``domain`` under the bound --
@@ -785,8 +746,7 @@ class PartitionEngine:
                         cand = staged[0] if len(staged) == 1 else min(staged)
                         if (cand[0] > stop_at or cand >= bound
                                 or (queue and queue[0] < cand)
-                                or (wheel is not None
-                                    and wheel._next_start <= cand[0])):
+                                or wheel._next_start <= cand[0]):
                             # Admit every staged entry to the heap
                             # (counted admissions): a wheel bucket is
                             # due first, the heap head wins the tie, the
@@ -812,23 +772,21 @@ class PartitionEngine:
                                 continue
                             if type(event) is rearm_type \
                                     and event._rearm_seq != cand[2]:
-                                self._push_rearmed(domain, cand[0], cand[1],
-                                                   event)
+                                env._push_rearmed(queue, wheel, event,
+                                                  cand[0], cand[1])
                                 continue
                             entry = cand
                     if entry is None:
                         if queue:
                             head_time = queue[0][0]
-                            if (wheel is not None
-                                    and wheel._next_start <= head_time):
-                                self._promote_domain(domain, stop_at)
+                            if wheel._next_start <= head_time:
+                                wheel.promote_due(env, queue, stop_at)
                                 head_time = queue[0][0] if queue else _INF
                             if head_time > stop_at:
                                 break
                         else:
-                            if wheel is not None \
-                                    and wheel._next_start <= stop_at:
-                                self._promote_domain(domain, stop_at)
+                            if wheel._next_start <= stop_at:
+                                wheel.promote_due(env, queue, stop_at)
                             if not queue or queue[0][0] > stop_at:
                                 break
                         if queue[0] >= bound:
@@ -847,8 +805,8 @@ class PartitionEngine:
                             continue
                         if type(event) is rearm_type \
                                 and event._rearm_seq != cand[2]:
-                            self._push_rearmed(domain, cand[0], cand[1],
-                                               event)
+                            env._push_rearmed(queue, wheel, event, cand[0],
+                                              cand[1])
                             continue
                         entry = cand
                     if tl_next <= entry[0]:
@@ -935,7 +893,7 @@ class PartitionEngine:
                 entry = None
                 if staged:
                     cand = staged[0] if len(staged) == 1 else min(staged)
-                    if wheel is not None and wheel._next_start <= cand[0]:
+                    if wheel._next_start <= cand[0]:
                         self._flush_staged(domain)
                     elif queue and queue[0] < cand:
                         self._flush_staged(domain)
@@ -957,23 +915,21 @@ class PartitionEngine:
                             continue
                         if type(event) is rearm_type \
                                 and event._rearm_seq != cand[2]:
-                            self._push_rearmed(domain, cand[0], cand[1],
-                                               event)
+                            env._push_rearmed(queue, wheel, event, cand[0],
+                                              cand[1])
                             continue
                         entry = cand
                 if entry is None:
                     if queue:
                         head_time = queue[0][0]
-                        if (wheel is not None
-                                and wheel._next_start <= head_time):
-                            self._promote_domain(domain, stop_at)
+                        if wheel._next_start <= head_time:
+                            wheel.promote_due(env, queue, stop_at)
                             head_time = queue[0][0] if queue else _INF
                         if head_time >= self._fence or head_time > stop_at:
                             break
                     else:
-                        if wheel is not None \
-                                and wheel._next_start <= stop_at:
-                            self._promote_domain(domain, stop_at)
+                        if wheel._next_start <= stop_at:
+                            wheel.promote_due(env, queue, stop_at)
                         if not queue or queue[0][0] >= self._fence \
                                 or queue[0][0] > stop_at:
                             break
@@ -990,7 +946,8 @@ class PartitionEngine:
                     if type(event) is rearm_type \
                             and event._rearm_seq != cand[2]:
                         pop(queue)
-                        self._push_rearmed(domain, cand[0], cand[1], event)
+                        env._push_rearmed(queue, wheel, event, cand[0],
+                                          cand[1])
                         continue
                     if event._cross:
                         # Commit rule: dispatched only as the exact
@@ -1058,7 +1015,7 @@ class PartitionEngine:
         dropped = 0
         for domain in self.domains:
             wheel = domain.wheel
-            if wheel is not None and wheel._count:
+            if wheel._count:
                 dropped += wheel.purge_cancelled(env)
         env.cancelled_purged += dropped
         env._cancel_backlog = 0
@@ -1094,11 +1051,10 @@ class PartitionEngine:
                 any_due = False
                 for domain in domains:
                     wheel = domain.wheel
-                    if wheel is not None and wheel._count \
-                            and wheel._next_start <= stop_at:
+                    if wheel._count and wheel._next_start <= stop_at:
                         queue = domain.queue
                         if not queue or wheel._next_start <= queue[0][0]:
-                            self._promote_domain(domain, stop_at)
+                            wheel.promote_due(env, queue, stop_at)
                     key = self._head_bound(domain)
                     heads[domain.index] = key[0]
                     crossed[domain.index] = (len(key) == 4
@@ -1208,7 +1164,7 @@ class PartitionEngine:
             queue.extend(domain.queue)
             domain.queue = []
             parked = domain.wheel
-            if parked is not None and parked._count:
+            if parked._count:
                 for buckets, coarse in ((parked._fine, False),
                                         (parked._coarse, True)):
                     for bucket in buckets.values():

@@ -19,13 +19,16 @@ Two granularities, promoted hierarchically:
 Entries keep the ``(deadline, priority, seq)`` key they were scheduled
 with, so promotion into the heap preserves the exact dispatch order the
 plain-heap kernel would have produced -- the equivalence the
-wheel-vs-heap property tests pin (``tests/test_sim_wheel.py``).
+cross-engine conformance suite pins against its heap-only reference
+(``tests/conformance/``).
 
-Promotion safety: the environment promotes every bucket whose *start*
-time is at or before the earliest heap entry (or the run's stop time),
-so a wheel entry can never be dispatched late -- a bucket's entries all
-have deadlines at or after the bucket start, and the heap re-sorts them
-exactly.
+Promotion safety: :meth:`TimerWheel.promote_due` promotes every bucket
+whose *start* time is at or before the earliest heap entry (and the
+run's stop time), so a wheel entry can never be dispatched late -- a
+bucket's entries all have deadlines at or after the bucket start, and
+the heap re-sorts them exactly. Both engines promote through it: the
+serial kernel into its own heap, the partitioned engine into each
+domain's.
 """
 
 from __future__ import annotations
@@ -130,6 +133,25 @@ class TimerWheel:
                 best = start
         self._next_start = best
         return best
+
+    def promote_due(self, env, queue: List[Entry], stop_at: float) -> None:
+        """Promote the buckets due before ``queue``'s next entry.
+
+        A bucket is *due* once its start time is at or before the
+        earliest entry of ``queue`` (the heap this wheel feeds; its raw
+        head -- a cancelled head is a safe lower bound) and at or before
+        ``stop_at``. Promoting whole buckets at that point guarantees no
+        wheel entry can be dispatched late.
+        """
+        while self._count:
+            start = self.next_start()
+            if start > stop_at:
+                break
+            if queue and queue[0][0] < start:
+                break
+            self.promote_next(env, queue)
+        else:
+            self._next_start = _INF
 
     def promote_next(self, env, queue: List[Entry]) -> None:
         """Move the earliest bucket's entries one level down.

@@ -1,9 +1,10 @@
 """Cross-engine kernel conformance suite.
 
-The simulation kernel ships several interchangeable engines -- plain
-heap, heap + timer wheel, and the partitioned parallel-DES engine
-(``repro.sim.partition``), each with escape-hatch env-var variants.
-Every engine must produce *identical observable behaviour*: the same
+The simulation kernel ships interchangeable engines -- the serial
+heap + timer wheel kernel and the partitioned parallel-DES engine
+(``repro.sim.partition``) -- diffed against a heap-only serial kernel
+(``Environment(use_wheel=False)``) kept as the reference. Every engine
+must produce *identical observable behaviour*: the same
 ``(time, priority, seq)`` dispatch order, the same timestamps and
 values, the same ``_seq`` stream and ``events_dispatched`` count.
 (Admission counters -- ``events_scheduled``, ``timers_coalesced``,

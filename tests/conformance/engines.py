@@ -65,13 +65,6 @@ def _plain(use_wheel):
     return lambda: Environment(use_wheel=use_wheel)
 
 
-def _with_env_var(var):
-    def build():
-        with _env_var(var):
-            return Environment()
-    return build
-
-
 def _no_partition_env():
     # The escape hatch itself: enable_partition must refuse under
     # REPRO_NO_PARTITION and leave the serial kernel in place.
@@ -83,7 +76,7 @@ def _no_partition_env():
     return env
 
 
-def merge_env(plan, use_wheel=None):
+def merge_env(plan):
     """A partitioned env that runs the exact-order merge.
 
     The generated conformance programs share mutable state across
@@ -95,20 +88,19 @@ def merge_env(plan, use_wheel=None):
     before the engine is installed. BATCHED_CONFIGS covers the batched
     engine with order-insensitive (canonicalized) comparisons.
     """
-    env = Environment(use_wheel=use_wheel)
+    env = Environment()
     Telemetry().attach(env)
     # use_partition=True: must install even when the ambient
     # REPRO_NO_PARTITION hatch is set (the CI engine matrix runs this
-    # suite under every hatch combination).
+    # suite with and without it).
     part = env.enable_partition(plan, use_partition=True)
     assert part is not None and part.observatory is not None
     assert not part.batching
     return env
 
 
-def _partitioned(names, window, use_wheel=None):
-    return lambda: merge_env(PartitionPlan.uniform(names, window),
-                             use_wheel=use_wheel)
+def _partitioned(names, window):
+    return lambda: merge_env(PartitionPlan.uniform(names, window))
 
 
 def _partitioned_hw():
@@ -125,9 +117,9 @@ def merge_windows(env) -> int:
     return sum(part.observatory.windows.values())
 
 
-def _batched(names, window, use_wheel=None):
+def _batched(names, window):
     def build():
-        env = Environment(use_wheel=use_wheel)
+        env = Environment()
         part = env.enable_partition(
             PartitionPlan.uniform(names, window), use_partition=True)
         assert part is not None and part.batching
@@ -144,22 +136,15 @@ def _batched_hw():
 
 
 #: Every engine configuration the kernel ships. The first entry is the
-#: reference implementation the rest are diffed against.
+#: reference implementation the rest are diffed against: the heap-only
+#: serial kernel (``use_wheel=False``), which exists for this purpose.
 ENGINE_CONFIGS = [
     EngineConfig("heap", _plain(use_wheel=False)),
     EngineConfig("wheel", _plain(use_wheel=True)),
-    EngineConfig("no-wheel-env", _with_env_var("REPRO_NO_TIMER_WHEEL")),
-    # REPRO_LEGACY_TICKS only affects the hw/cpu tick loop, never the
-    # kernel; it rides along so the whole escape-hatch matrix is pinned
-    # kernel-equivalent from one place.
-    EngineConfig("legacy-ticks-env", _with_env_var("REPRO_LEGACY_TICKS")),
     EngineConfig("no-partition-env", _no_partition_env),
     EngineConfig("partition-2", _partitioned(("host", "nic"), 400.0),
                  domains=("host", "nic"), partitioned=True),
     EngineConfig("partition-3", _partitioned(DOMAINS, 400.0),
-                 partitioned=True),
-    EngineConfig("partition-3-heap",
-                 _partitioned(DOMAINS, 400.0, use_wheel=False),
                  partitioned=True),
     EngineConfig("partition-hw", _partitioned_hw, partitioned=True),
 ]

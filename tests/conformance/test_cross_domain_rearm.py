@@ -19,19 +19,14 @@ from tests.conformance.engines import merge_env, merge_windows
 DOMAINS = ("host", "ic", "nic")
 
 
-def _partitioned_env(use_wheel=None):
+def _both_engines(program):
+    """Run one program serially and partitioned; logs must match."""
+    serial = program(Environment())
     # These tests pin *exact-order* cross-queue tie-breaks -- the
     # exact-merge engine's contract. Window batching deliberately
     # relaxes same-time cross-domain ordering, so run the merge (under
     # telemetry, as production does).
-    return merge_env(PartitionPlan.uniform(DOMAINS, 400.0),
-                     use_wheel=use_wheel)
-
-
-def _both_engines(program, use_wheel=None):
-    """Run one program serially and partitioned; logs must match."""
-    serial = program(Environment(use_wheel=use_wheel))
-    env = _partitioned_env(use_wheel=use_wheel)
+    env = merge_env(PartitionPlan.uniform(DOMAINS, 400.0))
     parted = program(env)
     assert merge_windows(env) > 0  # the merge really dispatched
     assert serial == parted

@@ -4,7 +4,6 @@ the partition observatory (repro.obs.causal + the span identity layer).
 
 import gc
 import hashlib
-import os
 import pickle
 import random
 import tracemalloc
@@ -438,28 +437,18 @@ def test_observatory_not_in_metrics_dump():
     assert "observatory" not in dump
 
 
-# The observatory's report text on two model points, as sha256 digests
-# with the timer wheel on and off (``REPRO_NO_TIMER_WHEEL``: wheel bucket
-# starts take part in the merge's bounds, so stalls and some window
-# boundaries differ). Every window boundary and stall, each float summed
-# in merge order, feeds this text.
-_FIFO_OBSERVATORY = {
-    True: "510f681fa28784d09efc3ac2d61aa8ecdb63183833938533e701abd2ecf31bb6",
-    False: "e04d2a8768da72f9d6056554c549d3203ce6eaeb4b49061214c583fa6e29e465",
-}
-_RPC_OBSERVATORY = {
-    True: "c3255e3fda7570c1b87246897834193f2262f200bef60fda60edca8be0774b98",
-    False: "9a6158840a0c3d8621fb1d82fd367a8ce21d9e03afd534e3a8b9214a93330323",
-}
+# The observatory's report text on two model points, as sha256 digests.
+# Every window boundary and stall, each float summed in merge order,
+# feeds this text (wheel bucket starts take part in the merge's bounds).
+_FIFO_OBSERVATORY = \
+    "510f681fa28784d09efc3ac2d61aa8ecdb63183833938533e701abd2ecf31bb6"
+_RPC_OBSERVATORY = \
+    "c3255e3fda7570c1b87246897834193f2262f200bef60fda60edca8be0774b98"
 
 
 def _observatory_digest(hub):
     text = "\n".join(partition_section(hub))
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _wheel_on():
-    return not os.environ.get("REPRO_NO_TIMER_WHEEL")
 
 
 def test_observatory_report_golden_fifo_point(monkeypatch):
@@ -475,9 +464,8 @@ def test_observatory_report_golden_fifo_point(monkeypatch):
     assert sum(hub.runs[0].partition.windows.values()) == 12_038
     assert counters["partition_switches"] == 12_038
     assert counters["partition_cross_sends"] == 478
-    assert counters["events_scheduled"] == (20_729 if _wheel_on()
-                                            else 21_057)
-    assert _observatory_digest(hub) == _FIFO_OBSERVATORY[_wheel_on()]
+    assert counters["events_scheduled"] == 20_729
+    assert _observatory_digest(hub) == _FIFO_OBSERVATORY
 
 
 def test_observatory_report_golden_rpc_point(monkeypatch):
@@ -488,9 +476,8 @@ def test_observatory_report_golden_rpc_point(monkeypatch):
         run_rpc_point(RpcScenario.OFFLOAD_ALL, True, 230_000,
                       worker_cores=16, duration_ns=2_000_000,
                       warmup_ns=500_000, seed=8)
-    assert sum(hub.runs[0].partition.windows.values()) == (
-        5_528 if _wheel_on() else 5_497)
-    assert _observatory_digest(hub) == _RPC_OBSERVATORY[_wheel_on()]
+    assert sum(hub.runs[0].partition.windows.values()) == 5_528
+    assert _observatory_digest(hub) == _RPC_OBSERVATORY
 
 
 # -- shard round trip --------------------------------------------------------

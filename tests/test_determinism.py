@@ -36,10 +36,13 @@ import hashlib
 import pytest
 
 from repro.core import Placement, WaveOpts
+from repro.hw.cpu import HostCpu
 from repro.obs import Telemetry, metrics_digest
 from repro.sched import FifoPolicy
+from repro.sched import experiment
 from repro.sched.experiment import run_sched_point
 from repro.sched.vm_experiment import run_vm_point
+from repro.sim import Environment
 from repro.workloads import RocksDbModel
 
 #: sha256 of the reduced-scale seed-1 event sequence. If a change to
@@ -101,6 +104,51 @@ def test_reduced_scale_trace_matches_golden_digest(monkeypatch):
         "checked-in golden digest: some change altered simulated event "
         "ordering, RNG consultation order, or timing. If intentional, "
         "update GOLDEN_DIGEST in this file in the same commit.")
+
+
+def test_heap_only_kernel_matches_golden_digest(monkeypatch):
+    """The heap-only serial kernel -- the conformance suite's reference
+    -- produces the golden trace on the model: the timer wheel is a
+    pure mechanism."""
+    # A wheel-less env never installs the partitioned engine; the hatch
+    # says "serial" explicitly all the same.
+    monkeypatch.setenv("REPRO_NO_PARTITION", "1")
+    built = []
+
+    def heap_only(*args, **kwargs):
+        env = Environment(*args, use_wheel=False, **kwargs)
+        built.append(env)
+        return env
+
+    monkeypatch.setattr(experiment, "Environment", heap_only)
+    counters = {}
+    _, trace = _run(seed=1, counters=counters)
+    assert len(built) == 1
+    assert built[0]._wheel is None  # really ran without a wheel
+    assert counters["partition_domains"] == 0
+    assert _event_hash(trace) == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("vcpus", [2, 31])
+def test_fig5_point_tick_loop_matches_virtual_ticks(monkeypatch, vcpus):
+    """Virtual ticks are a pure mechanism too: the Fig 5 point with the
+    event-per-tick loop forced on every core gives the same result."""
+    virtual_counters = {}
+    virtual = run_vm_point(vcpus, ticks=True, measure_ns=20_000_000,
+                           counters=virtual_counters)
+
+    def tick_loop(self, socket):
+        for core in socket.cores:
+            self.env.process(self._tick_loop(core), name=f"tick-c{core.id}")
+
+    monkeypatch.setattr(HostCpu, "start_ticks", tick_loop)
+    loop_counters = {}
+    loop = run_vm_point(vcpus, ticks=True, measure_ns=20_000_000,
+                        counters=loop_counters)
+    # The loop really ran: one event per tick per core.
+    assert virtual_counters["events_logical"] == 4_736
+    assert loop_counters["events_logical"] == {2: 12_800, 31: 10_944}[vcpus]
+    assert loop == virtual
 
 
 # -- partitioned engine byte-identity ----------------------------------------

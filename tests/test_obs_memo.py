@@ -418,3 +418,33 @@ def test_ring_handles_follow_the_run_and_match_the_shorthands():
     reference.metrics.timeweighted("ring_depth", ring="r").set(len(ring))
     reference.count("ring_ops", ring="r", op="poll")
     assert second.metrics.dump() == reference.metrics.dump()
+
+
+def test_link_handles_follow_the_run_and_match_the_shorthands():
+    env = Environment()
+    link = Interconnect(HwParams.pcie(), env=env)
+    first = Telemetry().attach(env)
+    link.mmio_read()
+    link.msix_send()
+    # Never written, never sent by register: both stay out of the dump.
+    assert 'op="write"' not in first.metrics.dump()
+    assert 'via="reg"' not in first.metrics.dump()
+    second = Telemetry().attach(env)
+    link.mmio_write()
+    link.msix_send(via_ioctl=False)
+    link.msix_send()
+    link.msix_send()
+    assert link._tel_handles.tel is second
+    assert first.metrics.counter("msix_sends", via="ioctl").value == 1
+    assert second.metrics.counter("msix_sends", via="ioctl").value == 2
+    # The same updates through the shorthands give the same dump.
+    reference = Telemetry().attach(Environment())
+    reference.count("mmio_ops", op="write")
+    reference.count("msix_sends", via="reg")
+    reference.count("msix_sends", via="ioctl")
+    reference.count("msix_sends", via="ioctl")
+    assert second.metrics.dump() == reference.metrics.dump()
+    # A link built without an env has no run to count in.
+    bare = Interconnect(HwParams.pcie())
+    assert bare.msix_send() == HwParams.pcie().msix_send_ioctl
+    assert bare._tel_handles is None

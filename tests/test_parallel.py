@@ -11,6 +11,7 @@ from repro.bench.parallel import (
     resolve_jobs,
     run_points,
 )
+from repro.bench.progress import resolve_mode
 from repro.core import Placement, WaveOpts
 from repro.sched import FifoPolicy
 from repro.sched.experiment import sweep_load
@@ -153,6 +154,31 @@ def test_sweep_health_counts_points_without_done_heartbeats(monkeypatch,
                 if key[0] == "sweep.worker.points")
     assert total == 4
     assert "sweep: 4/4 points" in capsys.readouterr().err
+
+
+class _Tty:
+    def isatty(self):
+        return True
+
+
+class _Pipe:
+    def isatty(self):
+        return False
+
+
+@pytest.mark.parametrize("raw, mode", [
+    ("0", "off"), ("off", "off"), ("1", "line"), ("line", "line"),
+    ("live", "live"), ("summary", "summary"), ("SUMMARY", "summary")])
+def test_progress_mode_from_env_wins_over_the_tty(monkeypatch, raw, mode):
+    monkeypatch.setenv("REPRO_PROGRESS", raw)
+    assert resolve_mode(_Tty()) == mode
+    assert resolve_mode(_Pipe()) == mode
+
+
+def test_progress_mode_unset_follows_the_tty(monkeypatch):
+    monkeypatch.delenv("REPRO_PROGRESS", raising=False)
+    assert resolve_mode(_Tty()) == "live"
+    assert resolve_mode(_Pipe()) == "summary"
 
 
 def test_parallel_map_sugar():

@@ -128,6 +128,14 @@ def test_enable_partition_none_plan():
     assert Environment().enable_partition(None) is None
 
 
+def test_enable_partition_refuses_heap_only_env():
+    """Every domain files its far timers in a wheel, so the heap-only
+    reference kernel keeps its serial loop, even when asked."""
+    env = Environment(use_wheel=False)
+    assert env.enable_partition(PLAN, use_partition=True) is None
+    assert env.partition is None
+
+
 def test_enable_partition_twice_raises():
     env = Environment()
     assert env.enable_partition(PLAN, use_partition=True)

@@ -26,16 +26,17 @@ SIM_DIR = os.path.join(PACKAGE_DIR, "sim") + os.sep
 
 #: Python calls into ``repro/sim/`` per dispatched event on the point
 #: below: 5.99 before the one-frame resume, the plain-attribute clock
-#: and inline staged admission; now at most 3.41 over CI's engine
-#: configurations (2.96-2.97 with the timer wheel off). Exact for the
-#: seed, so the margin only absorbs interpreter-version differences.
+#: and inline staged admission; now 3.41 (3.40 with REPRO_NO_PARTITION,
+#: CI's other engine leg). Exact for the seed, so the margin only
+#: absorbs interpreter-version differences.
 MAX_SIM_CALLS_PER_EVENT = 3.5
 
 #: Python calls into ``repro/sim/partition.py`` per exact-merge window
 #: on the same point under telemetry: 9.65 with helper calls for every
-#: window's selection, staging and observatory records; now at most
-#: 0.39 (cross-domain inserts and sends, wheel promotions). Exact for
-#: the seed, like the bound above.
+#: window's selection, staging and observatory records; now 0.32
+#: (cross-domain inserts and sends; wheel promotion and the stale
+#: re-arm re-key are the serial kernel's, in wheel.py and core.py).
+#: Exact for the seed, like the bound above.
 MAX_PARTITION_CALLS_PER_WINDOW = 1.5
 PARTITION_PY = os.path.join(PACKAGE_DIR, "sim", "partition.py")
 

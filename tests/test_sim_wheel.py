@@ -21,18 +21,8 @@ from repro.sim.wheel import FINE_GRAIN, MIN_COARSE_DELAY, TimerWheel
 
 # -- wheel mechanics --------------------------------------------------------
 
-def test_no_timer_wheel_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_TIMER_WHEEL", "1")
-    env = Environment()
-    assert env._wheel is None
-    monkeypatch.delenv("REPRO_NO_TIMER_WHEEL")
-    assert Environment()._wheel is not None
-
-
 def test_wheel_far_timer_cancelled_never_touches_heap():
-    # use_wheel=True: must hold under REPRO_NO_TIMER_WHEEL too (the CI
-    # engine matrix runs this suite with the hatch set).
-    env = Environment(use_wheel=True)
+    env = Environment()
     timer = env.timeout(400_000.0)  # coarse bucket
     before = env.events_scheduled
     del timer.callbacks[:]
@@ -203,23 +193,26 @@ def test_polltimer_rejects_negative_delay():
 
 # -- virtual ticks ----------------------------------------------------------
 
-def _tick_machine(legacy, monkeypatch, params=None):
-    if legacy:
-        monkeypatch.setenv("REPRO_LEGACY_TICKS", "1")
-    else:
-        monkeypatch.delenv("REPRO_LEGACY_TICKS", raising=False)
+def _tick_machine(legacy):
+    """A host whose first socket takes timer ticks: virtual ones
+    (``start_ticks``), or with ``legacy`` the event-per-tick loop they
+    are checked against."""
     env = Environment()
-    cpu = HostCpu(env, params or HwParams.pcie())
+    cpu = HostCpu(env, HwParams.pcie())
     socket = cpu.sockets[0]
-    cpu.start_ticks(socket)
+    if legacy:
+        for core in socket.cores:
+            env.process(cpu._tick_loop(core), name=f"tick-c{core.id}")
+    else:
+        cpu.start_ticks(socket)
     return env, socket
 
 
 @pytest.mark.parametrize("horizon_ticks", [1, 7, 10])
-def test_virtual_ticks_match_legacy_tick_time(monkeypatch, horizon_ticks):
+def test_virtual_ticks_match_legacy_tick_time(horizon_ticks):
     observed = {}
     for legacy in (True, False):
-        env, socket = _tick_machine(legacy, monkeypatch)
+        env, socket = _tick_machine(legacy)
         env.run(until=horizon_ticks * socket.params.tick_period)
         observed[legacy] = [
             (core.tick_time, core.deep_sleep) for core in socket.cores[:4]]
@@ -229,15 +222,14 @@ def test_virtual_ticks_match_legacy_tick_time(monkeypatch, horizon_ticks):
     assert observed[True] == observed[False]
 
 
-def test_virtual_ticks_hold_cores_awake(monkeypatch):
-    env, socket = _tick_machine(False, monkeypatch)
+def test_virtual_ticks_hold_cores_awake():
+    env, socket = _tick_machine(False)
     env.run(until=socket.params.deep_sleep_entry * 5)
     assert socket.awake_cores == len(socket.cores)
     assert socket.current_ghz() == pytest.approx(3.2)
 
 
-def test_virtual_ticks_wake_sleeping_core_at_next_tick(monkeypatch):
-    monkeypatch.delenv("REPRO_LEGACY_TICKS", raising=False)
+def test_virtual_ticks_wake_sleeping_core_at_next_tick():
     env = Environment()
     cpu = HostCpu(env, HwParams.pcie())
     socket = cpu.sockets[0]
@@ -253,10 +245,9 @@ def test_virtual_ticks_wake_sleeping_core_at_next_tick(monkeypatch):
     assert socket.awake_cores == len(socket.cores)
 
 
-def test_slow_ticks_fall_back_to_legacy_loop(monkeypatch):
+def test_slow_ticks_fall_back_to_legacy_loop():
     """tick_period >= deep_sleep_entry has observable sleep/wake edges
     between ticks: start_ticks must keep the event-per-tick loop."""
-    monkeypatch.delenv("REPRO_LEGACY_TICKS", raising=False)
     import dataclasses
     params = HwParams.pcie()
     slow = dataclasses.replace(
@@ -316,8 +307,8 @@ def test_enable_virtual_ticks_twice_raises():
         core.enable_virtual_ticks(1_000.0, 10.0)
 
 
-def test_tick_time_setter_composes_with_virtual(monkeypatch):
-    env, socket = _tick_machine(False, monkeypatch)
+def test_tick_time_setter_composes_with_virtual():
+    env, socket = _tick_machine(False)
     core = socket.cores[0]
     env.run(until=3 * socket.params.tick_period)
     analytic = core.tick_time

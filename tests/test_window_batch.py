@@ -19,9 +19,9 @@ from tests.conformance.engines import merge_env
 PLAN = PartitionPlan.uniform(("host", "ic", "nic"), 400.0)
 
 
-def _batched_env(monkeypatch, use_wheel=None):
+def _batched_env(monkeypatch):
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    env = Environment(use_wheel=use_wheel)
+    env = Environment()
     part = env.enable_partition(PLAN, use_partition=True)
     assert part is not None
     return env, part
@@ -186,12 +186,12 @@ def _degrading_program(env, probe=None):
 
 
 def test_degraded_run_hands_off_with_every_entry(monkeypatch):
-    # Wheels on whatever REPRO_NO_TIMER_WHEEL says: the coarse bucket
-    # is one of the places the handoff must empty.
+    # The coarse wheel bucket is one of the places the handoff must
+    # empty.
     monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
-    serial = _degrading_program(Environment(use_wheel=True))
+    serial = _degrading_program(Environment())
 
-    env, part = _batched_env(monkeypatch, use_wheel=True)
+    env, part = _batched_env(monkeypatch)
     parked = {}
     staged_at_degrade = []
 
@@ -313,7 +313,7 @@ def test_window_close_purges_cancelled_wheel_entries(monkeypatch):
     """Cancelling a backlog of far wheel timers triggers the bulk
     purge: entries leave the wheels without ever reaching a heap, and
     the environment counts them."""
-    env, part = _batched_env(monkeypatch, use_wheel=True)
+    env, part = _batched_env(monkeypatch)
     timers = []
     with env.domain("nic"):
         for i in range(_PURGE_BACKLOG + 8):
@@ -334,12 +334,16 @@ def test_window_close_purges_cancelled_wheel_entries(monkeypatch):
     assert env.events_dispatched == 1  # the driver only
 
 
-def test_serial_env_counts_purges_too(monkeypatch):
-    """`cancelled_purged` is an Environment counter: the serial wheel's
-    rollover drops feed it as well, so reports read one field."""
-    env = Environment(use_wheel=True)
+def test_serial_rollover_drops_count_in_wheel_not_purges():
+    """The serial kernel never bulk-purges: a cancelled far timer is
+    dropped when its bucket rolls over, which the wheel counts in
+    `TimerWheel.dropped_cancelled`. `Environment.cancelled_purged`
+    counts only the partitioned engine's window-close purges, so it
+    stays 0 here."""
+    env = Environment()
     t = env.timeout(400_000.0)
     del t.callbacks[:]
     t.cancel()
     env.run(until=1_000_000.0)
     assert env._wheel.dropped_cancelled == 1
+    assert env.cancelled_purged == 0
