@@ -25,7 +25,7 @@ from repro.hw.platform import Machine
 from repro.hw.pte import PteType
 from repro.queues.dma import DmaQueue
 from repro.queues.ring import FloemRing
-from repro.sim import Event
+from repro.sim import Event, Relay
 
 
 class Placement(enum.Enum):
@@ -143,15 +143,19 @@ class WaveChannel:
 
     def dispatch_interrupt(self, target: Any, delivery: Event) -> None:
         """Invoke ``target``'s registered handler once ``delivery``
-        fires (the wire/bridge portion of MSI-X delivery)."""
+        fires (the wire/bridge portion of MSI-X delivery).
 
-        def deliverer():
-            yield delivery
-            handler = self._int_handlers.get(target)
-            if handler is not None:
-                handler(target)
+        The deliverer is a :class:`~repro.sim.Relay`: it subscribes to
+        ``delivery`` when it starts and runs the handler pinned to the
+        domain it was created in (the sender's). A lost MSI-X never
+        fires, so its deliverer never runs.
+        """
+        Relay(self.env, delivery, self._deliver_interrupt, target)
 
-        self.env.process(deliverer(), name=f"{self.name}-int-{target}")
+    def _deliver_interrupt(self, target: Any) -> None:
+        handler = self._int_handlers.get(target)
+        if handler is not None:
+            handler(target)
 
     def notify_receive_cost(self) -> float:
         """Host-side cost of taking the notification interrupt."""

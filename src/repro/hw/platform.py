@@ -27,9 +27,7 @@ class Machine:
         self.env = env
         self.params = params or HwParams.pcie()
         self.interconnect = Interconnect(self.params, env=env)
-        if env.partition is None and not (
-                env._queue or env._staged or (
-                    env._wheel is not None and env._wheel._count)):
+        if env.partition is None and env.fresh:
             env.enable_partition(self.interconnect.partition_plan(),
                                  use_partition=use_partition)
         self.host = HostCpu(env, self.params)

@@ -15,8 +15,8 @@ from typing import Any, Deque, List, Optional, Tuple
 
 from repro.hw.dma import DmaEngine
 from repro.hw.paths import MemPath
-from repro.queues.ring import batch_links, relink_batch
-from repro.sim import Environment, Event
+from repro.queues.ring import batch_links, relink_batch, wake_waiters
+from repro.sim import Environment, Event, Relay
 
 
 class DmaQueue:
@@ -95,18 +95,15 @@ class DmaQueue:
         return cost, completion
 
     def _announce(self, visible_at: float) -> None:
+        """Wake every current waiter once ``visible_at`` is reached, by
+        one :class:`~repro.sim.Relay` waker, as
+        :meth:`FloemRing._announce <repro.queues.ring.FloemRing._announce>`
+        does."""
         if not self._waiters:
             return
-        delay = max(0.0, visible_at - self.env.now)
         waiters, self._waiters = self._waiters, []
-
-        def waker():
-            yield self.env.timeout(delay)
-            for waiter in waiters:
-                if not waiter.triggered:
-                    waiter.succeed()
-
-        self.env.process(waker(), name=f"{self.name}-waker")
+        Relay(self.env, max(0.0, visible_at - self.env.now), wake_waiters,
+              waiters)
 
     def visible_count(self) -> int:
         now = self.env.now

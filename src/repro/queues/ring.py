@@ -19,7 +19,7 @@ from typing import Any, Deque, List, Optional, Tuple
 
 from repro.hw.paths import MemPath
 from repro.obs.spans import MetricHandles, SpanCtx
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Relay
 
 
 #: The ring's metric handles (:class:`MetricHandles`), labelled with
@@ -47,6 +47,13 @@ def relink_batch(tel, span, items) -> None:
         ctx = getattr(item, "ctx", None)
         if ctx is not None:
             item.ctx = SpanCtx(ctx.req, sid)
+
+
+def wake_waiters(waiters: List[Event]) -> None:
+    """Succeed each waiter not already triggered (a queue waker's step)."""
+    for waiter in waiters:
+        if not waiter.triggered:
+            waiter.succeed()
 
 
 def batch_links(items):
@@ -143,7 +150,8 @@ class FloemRing:
                 entries.append((item, visible_at))
             self.produced += accepted
             self.max_depth = max(self.max_depth, len(entries))
-            self._announce(visible_at)
+            if self._waiters:
+                self._announce(visible_at)
         tel = self.env.telemetry
         if tel is not None:
             span = tel.span("ring.produce", f"ring:{self.name}", dur_ns=cost,
@@ -163,21 +171,18 @@ class FloemRing:
         return addr
 
     def _announce(self, visible_at: float) -> None:
-        if not self._waiters:
-            return
-        delay = max(0.0, visible_at - self.env.now)
+        """Wake every current waiter once ``visible_at`` is reached.
+
+        One waker per announcement: a :class:`~repro.sim.Relay` whose
+        timer starts when it does and whose step wakes the waiters not
+        already woken. Callers announce only while someone waits: most
+        batches are produced with no waiter.
+        """
         waiters, self._waiters = self._waiters, []
-
-        def waker():
-            if delay:
-                yield self.env.timeout(delay)
-            else:
-                yield self.env.timeout(0)
-            for waiter in waiters:
-                if not waiter.triggered:
-                    waiter.succeed()
-
-        self.env.process(waker(), name=f"{self.name}-waker")
+        delay = visible_at - self.env.now
+        # A due entry waits the int 0, as the ring always has: the
+        # timer's key, and so the clock it sets, keep their type.
+        Relay(self.env, delay if delay > 0.0 else 0, wake_waiters, waiters)
 
     # -- consumer ---------------------------------------------------------
 

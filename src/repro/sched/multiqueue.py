@@ -9,8 +9,9 @@ cheaply available when the scheduler is co-located with the RPC stack
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.ghost.task import GhostTask, TaskState
 from repro.sched.policy import SchedPolicy
@@ -35,14 +36,23 @@ class MultiQueueShinjukuPolicy(SchedPolicy):
             raise ValueError("time slice must be positive")
         self.time_slice = time_slice_ns
         self._queues: Dict[float, Deque[GhostTask]] = {}
+        #: The SLO classes seen so far, tightest first; a class is added
+        #: (in order) when its first task arrives.
+        self._order: List[float] = []
 
     def enqueue(self, task: GhostTask) -> None:
-        self._queues.setdefault(task_slo(task), deque()).append(task)
+        slo = task_slo(task)
+        queue = self._queues.get(slo)
+        if queue is None:
+            queue = self._queues[slo] = deque()
+            insort(self._order, slo)
+        queue.append(task)
         self._enq_metric.incr()
 
     def dequeue(self) -> Optional[GhostTask]:
-        for slo in sorted(self._queues):
-            queue = self._queues[slo]
+        queues = self._queues
+        for slo in self._order:
+            queue = queues[slo]
             while queue:
                 task = queue.popleft()
                 if task.state is TaskState.RUNNABLE:
@@ -51,7 +61,7 @@ class MultiQueueShinjukuPolicy(SchedPolicy):
         return None
 
     def runnable_count(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return sum(map(len, self._queues.values()))
 
     def _iter_queued(self):
         for queue in self._queues.values():
@@ -63,14 +73,22 @@ class MultiQueueShinjukuPolicy(SchedPolicy):
         if not self._running:
             return []
         due = []
+        waiting = None
+        looked = False
         for core, (task, started) in self._running.items():
             if now - started < self.time_slice:
                 continue
-            waiting = self._tightest_waiting_slo()
+            if not looked:
+                # The queues cannot change in this loop: one lookup.
+                waiting = self._tightest_waiting_slo()
+                looked = True
             if waiting is not None and waiting <= task_slo(task):
                 due.append(core)
         return due
 
     def _tightest_waiting_slo(self) -> Optional[float]:
-        candidates = [slo for slo, q in self._queues.items() if q]
-        return min(candidates) if candidates else None
+        queues = self._queues
+        for slo in self._order:
+            if queues[slo]:
+                return slo
+        return None

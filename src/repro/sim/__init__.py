@@ -4,6 +4,9 @@ A small, deterministic, simpy-style engine written from scratch:
 
 - :class:`Environment` drives a nanosecond-resolution virtual clock.
 - :class:`Process` wraps a generator; ``yield`` an event to wait on it.
+- :class:`Relay` waits for one event (or a delay), then runs one step:
+  a per-message helper (ring waker, MSI-X deliverer) with the event
+  stream of a one-``yield`` process but no generator.
 - :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` are the
   waitable primitives.
 - :class:`Interrupt` supports asynchronous cancellation (preemption).
@@ -30,7 +33,7 @@ from repro.sim.events import (
     AllOf,
     EventAlreadyTriggered,
 )
-from repro.sim.process import Process, Interrupt
+from repro.sim.process import Process, Interrupt, Relay
 from repro.sim.core import Environment, StopSimulation
 from repro.sim.partition import (LookaheadViolation, PartitionEngine,
                                  PartitionPlan)
@@ -48,6 +51,7 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Process",
+    "Relay",
     "Interrupt",
     "Store",
     "Resource",

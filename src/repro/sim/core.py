@@ -324,16 +324,16 @@ class Environment:
         must tie-break against other same-deadline events exactly like
         a timeout *created* at t, or re-arming could flip
         same-timestamp dispatch order relative to the plain-heap kernel.
+        The entry itself comes from :meth:`RearmableTimer._rekeyed`,
+        shared with the wheel's promotion.
         """
-        fire_at = event._fire_at
-        if wheel is not None and fire_at - surfaced_at >= MIN_WHEEL_DELAY:
-            wheel.insert(fire_at, priority, event._rearm_seq, event,
-                         fire_at - surfaced_at >= MIN_COARSE_DELAY)
+        entry = event._rekeyed(priority)
+        ahead = entry[0] - surfaced_at
+        if wheel is not None and ahead >= MIN_WHEEL_DELAY:
+            wheel.insert(*entry, ahead >= MIN_COARSE_DELAY)
         else:
             self.events_scheduled += 1
-            heapq.heappush(queue,
-                           (fire_at, priority, event._rearm_seq, event))
-        event._entry_at = fire_at
+            heapq.heappush(queue, entry)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -536,6 +536,14 @@ class Environment:
     # -- partitioned engine (repro.sim.partition) --------------------------
 
     @property
+    def fresh(self) -> bool:
+        """True while no event is queued (heap, staged list or wheel):
+        the state :meth:`enable_partition` requires."""
+        wheel = self._wheel
+        return not (self._queue or self._staged
+                    or (wheel is not None and wheel._count))
+
+    @property
     def partition(self):
         """The installed partition engine, or None (serial kernel).
 
@@ -569,13 +577,12 @@ class Environment:
 
         if use_partition is None:
             use_partition = not os.environ.get(_NO_PARTITION_ENV)
-        wheel = self._wheel
-        if (not use_partition or wheel is None or plan is None
+        if (not use_partition or self._wheel is None or plan is None
                 or not plan.usable()):
             return None
         if self._engine is not None:
             raise RuntimeError("partition engine already installed")
-        if self._queue or self._staged or wheel._count:
+        if not self.fresh:
             raise RuntimeError(
                 "enable_partition() requires a fresh environment "
                 "(events already scheduled)")

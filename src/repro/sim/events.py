@@ -210,6 +210,18 @@ class RearmableTimer(Timeout):
         #: seq, so ``env._seq`` is this entry's key.
         self._rearm_seq = env._seq
 
+    def _rekeyed(self, priority: int) -> tuple:
+        """The entry a stale entry of this timer is re-keyed to.
+
+        ``(fire_at, priority, rearm_seq, timer)``: the real deadline,
+        under the seq allocated at re-arm time. The one re-key rule of
+        every site a stale entry can surface at (heap pop, staged fast
+        path, wheel promotion); each site then files the entry where it
+        belongs, which is recorded as :attr:`_entry_at` here.
+        """
+        fire_at = self._entry_at = self._fire_at
+        return (fire_at, priority, self._rearm_seq, self)
+
     def __repr__(self) -> str:
         return (f"<RearmableTimer delay={self.delay} "
                 f"fire_at={self._fire_at}>")

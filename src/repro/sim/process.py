@@ -1,10 +1,11 @@
-"""Processes: generator coroutines driven by the event loop."""
+"""Processes: generator coroutines driven by the event loop, and relays,
+the one-step helpers that need no generator."""
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Union
 
-from repro.sim.events import Event, PENDING, Timeout, URGENT
+from repro.sim.events import Event, NORMAL, PENDING, Timeout, URGENT
 
 
 class Interrupt(Exception):
@@ -166,3 +167,96 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
+
+
+class Relay(Event):
+    """A helper that waits for one event, then runs one step: the
+    generator-free form of a process whose body is ``yield wait``
+    followed by ``step(arg)``.
+
+    ``wait`` is an :class:`Event`, or a delay in ns, for which the relay
+    makes its own timeout. The relay dispatches exactly the events such
+    a process would, under the same ``(time, priority, seq)`` keys:
+
+    - creating it schedules its URGENT start, as
+      :class:`Process` schedules its initialization;
+    - the start makes the timeout for a delay, or subscribes to the
+      event, so every seq is allocated at the same moment (an event
+      already processed by then runs the step at once, as a process
+      continues past it);
+    - the step runs with the partitioned engine's scheduling target
+      pinned to the relay's home domain, as :meth:`Process._resume`
+      pins it, whatever domain's event fired;
+    - after the step it schedules a NORMAL completion, as a finishing
+      process does; a wait that never fires (a lost MSI-X) leaves the
+      relay pending forever, with no completion.
+
+    It costs no generator, resume frame or ``StopIteration``: the queue
+    entries of its start and its completion are the relay itself. So
+    nothing can wait on a relay (its callbacks are a tuple until its
+    completion is dispatched), and only per-message helpers that nothing
+    waits on -- the ring and DMA-queue wakers, the MSI-X deliverers --
+    are relays; long-lived actors stay processes. An exception raised
+    by ``step`` propagates out of the run, as from any callback; a
+    failed wait event skips the step and fails the completion, which
+    then surfaces as any undefused failure does.
+    """
+
+    __slots__ = ("_wait", "_step", "_arg", "domain")
+
+    def __init__(self, env, wait: Union[Event, float],  # noqa: F821
+                 step: Callable[[Any], Any], arg: Any = None):
+        # Event.__init__'s fields, set here without the super() call:
+        # one relay is made per ring wake-up and per MSI-X.
+        self.env = env
+        self.callbacks = (self._start,)
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self._cross = False
+        self._wait = wait
+        self._step = step
+        self._arg = arg
+        #: Home domain, as :attr:`Process.domain`.
+        part = env._partition
+        self.domain = part.current if part is not None else None
+        env._schedule(self, URGENT)
+
+    def _start(self, _: Event) -> None:
+        # No pin here: the start entry was filed in the home domain,
+        # and every dispatch loop routes to the domain it dispatches.
+        # Still pending until the completion is dispatched: nothing can
+        # subscribe in between either.
+        self.callbacks = ()
+        wait = self._wait
+        if not isinstance(wait, Event):
+            wait = self.env.timeout(wait)
+        callbacks = wait.callbacks
+        if callbacks is not None:
+            callbacks.append(self._fire)
+        elif wait._cancelled:
+            raise RuntimeError(f"relay waited on a cancelled event: {wait!r}")
+        else:
+            self._fire(wait)
+
+    def _fire(self, event: Event) -> None:
+        env = self.env
+        part = env._partition
+        if part is not None:
+            prev = part.current
+            part.current = self.domain
+        try:
+            if event._ok:
+                self._step(self._arg)
+            else:
+                event._defused = True
+                self._ok = False
+                self._value = event._value
+            env._schedule(self, NORMAL)
+        finally:
+            if part is not None:
+                part.current = prev
+
+    def __repr__(self) -> str:
+        return f"<Relay {self._step!r} after {self._wait!r}>"

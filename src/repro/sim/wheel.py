@@ -162,7 +162,11 @@ class TimerWheel:
         recycled, and re-armed :class:`RearmableTimer` entries are
         re-keyed at their current deadline. Coarse entries cascade into
         fine buckets keyed by their own deadline, so a long-lived timer
-        costs one dict append per level, total, over its whole life.
+        costs one dict append per level, total, over its whole life. A
+        re-armed timer's stale entry is re-keyed by
+        :meth:`RearmableTimer._rekeyed
+        <repro.sim.events.RearmableTimer._rekeyed>` at either level, as
+        at every other site it can surface.
         """
         fine_idx = self._head(self._fine_idx, self._fine)
         coarse_idx = self._head(self._coarse_idx, self._coarse)
@@ -184,16 +188,10 @@ class TimerWheel:
                     continue
                 if (type(event) is RearmableTimer
                         and event._rearm_seq != entry[2]):
-                    # Re-armed while parked here: surface at the real
-                    # deadline, under the seq allocated at re-arm time
-                    # (exact legacy tie-break order). Straight to the
-                    # heap -- re-inserting into the (already due) wheel
-                    # level could loop.
-                    heappush(queue, (event._fire_at, entry[1],
-                                     event._rearm_seq, event))
-                    event._entry_at = event._fire_at
-                    pushes += 1
-                    continue
+                    # Re-armed while parked here: surface re-keyed.
+                    # Straight to the heap -- re-inserting into the
+                    # (already due) wheel level could loop.
+                    entry = event._rekeyed(entry[1])
                 heappush(queue, entry)
                 pushes += 1
             self.promoted += pushes
@@ -211,9 +209,7 @@ class TimerWheel:
                     continue
                 if (type(event) is RearmableTimer
                         and event._rearm_seq != entry[2]):
-                    entry = (event._fire_at, entry[1],
-                             event._rearm_seq, event)
-                    event._entry_at = event._fire_at
+                    entry = event._rekeyed(entry[1])
                 # Cascade into the fine level keyed by the deadline;
                 # _count is unchanged (remove here, insert below).
                 self._count -= 1

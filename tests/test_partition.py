@@ -254,6 +254,23 @@ def test_machine_partitions_by_default_and_opts_out(monkeypatch):
     assert serial_env.partition is None
 
 
+@pytest.mark.parametrize("delay", [10.0, 200_000.0])  # heap, wheel
+def test_machine_leaves_a_busy_env_to_the_serial_kernel(monkeypatch,
+                                                        delay):
+    # Machine asks the env's own freshness test before installing, so
+    # a scheduled event (in the heap or in the wheel) means no engine
+    # and no error, where enable_partition itself raises.
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    env = Environment()
+    assert env.fresh
+    env.timeout(delay)
+    assert not env.fresh
+    with pytest.raises(RuntimeError):
+        env.enable_partition(PLAN, use_partition=True)
+    Machine(env)
+    assert env.partition is None
+
+
 def test_partition_counters_track_activity():
     env = Environment()
     part = env.enable_partition(PLAN, use_partition=True)

@@ -118,6 +118,22 @@ class TestMultiQueue:
         policy2.enqueue(make_task(slo=50_000_000.0))
         assert policy2.preemptions_due(40_000) == []
 
+    def test_classes_stay_ordered_as_they_appear(self):
+        policy = MultiQueueShinjukuPolicy(30_000)
+        mid, loose, tight = (make_task(slo=slo)
+                             for slo in (1e6, 5e7, 2e5))
+        for task in (mid, loose, tight):
+            policy.enqueue(task)
+        for core, slo in enumerate((5e7, 1e6, 2e5)):
+            policy.note_running(core=core, task=make_task(slo=slo), now=0.0)
+        # Every core is past its slice and the tightest class waits.
+        assert policy.preemptions_due(40_000) == [0, 1, 2]
+        assert [policy.dequeue() for _ in range(3)] == [tight, mid, loose]
+        assert policy.preemptions_due(40_000) == []
+        # Emptied classes keep their place: mid is the tightest waiting.
+        policy.enqueue(make_task(slo=1e6))
+        assert policy.preemptions_due(40_000) == [0, 1]
+
     def test_default_slo(self):
         policy = MultiQueueShinjukuPolicy()
         task = make_task(slo=None)

@@ -1,10 +1,11 @@
 """Guards on the kernel's fast paths (docs/performance.md, §1 and §7).
 
 A dispatched event should cost the simulator a few Python calls, not a
-property read per clock access, a helper per staged admission or two
-frames per process resume; an exact-order merge window should cost the
-partitioned engine no helper call at all. The call counts are exact for
-a fixed seed, so the guards are deterministic; the clock test keeps
+property read per clock access, a helper per staged admission, two
+frames per process resume or a generator per ring wake-up and MSI-X;
+an exact-order merge window should cost the partitioned engine no
+helper call at all. The call counts are exact for a fixed seed, so the
+guards are deterministic; the clock test keeps
 ``Environment.now`` read-only by contract now that it is a plain
 attribute.
 """
@@ -14,11 +15,14 @@ import cProfile
 import os
 import pstats
 
+import pytest
+
 import repro
 from repro.core import Placement, WaveOpts
 from repro.obs import Telemetry
 from repro.sched import FifoPolicy
 from repro.sched.experiment import run_sched_point
+from repro.sim import Process
 from repro.workloads import RocksDbModel
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
@@ -26,10 +30,18 @@ SIM_DIR = os.path.join(PACKAGE_DIR, "sim") + os.sep
 
 #: Python calls into ``repro/sim/`` per dispatched event on the point
 #: below: 5.99 before the one-frame resume, the plain-attribute clock
-#: and inline staged admission; now 3.41 (3.40 with REPRO_NO_PARTITION,
-#: CI's other engine leg). Exact for the seed, so the margin only
-#: absorbs interpreter-version differences.
+#: and inline staged admission; 3.41 before the relays; now 3.18 (3.17
+#: with REPRO_NO_PARTITION, CI's other engine leg). Exact for the seed,
+#: so the margin only absorbs interpreter-version differences.
 MAX_SIM_CALLS_PER_EVENT = 3.5
+
+#: ``Process`` objects built on the point below. Per-message helpers
+#: (ring and DMA-queue wakers, MSI-X deliverers) are relays, so 146 are
+#: left, none per message: the load generator, the agent, 16 ghOSt core
+#: loops and the 128 host cores' deep-sleep checks armed at start. With
+#: a helper process per message it was 1,680, of which 1,056 ring
+#: wakers and 478 deliverers.
+MAX_PROCESSES = 150
 
 #: Python calls into ``repro/sim/partition.py`` per exact-merge window
 #: on the same point under telemetry: 9.65 with helper calls for every
@@ -44,8 +56,10 @@ PARTITION_PY = os.path.join(PACKAGE_DIR, "sim", "partition.py")
 CLOCK_WRITERS = {os.path.join(PACKAGE_DIR, "sim", "core.py"), PARTITION_PY}
 
 
-def test_sim_calls_per_dispatched_event():
-    # Wave-16 FIFO at 600k req/s (the Fig 4a point), 2 ms simulated.
+@pytest.fixture(scope="module")
+def profiled_point():
+    """Wave-16 FIFO at 600k req/s (the Fig 4a point), 2 ms simulated,
+    under cProfile: ``(stats, counters)``."""
     counters = {}
     profiler = cProfile.Profile()
     profiler.enable()
@@ -56,13 +70,26 @@ def test_sim_calls_per_dispatched_event():
                         counters=counters)
     finally:
         profiler.disable()
-    calls = sum(entry[1] for func, entry in
-                pstats.Stats(profiler).stats.items()
+    return pstats.Stats(profiler).stats, counters
+
+
+def test_sim_calls_per_dispatched_event(profiled_point):
+    stats, counters = profiled_point
+    calls = sum(entry[1] for func, entry in stats.items()
                 if func[0].startswith(SIM_DIR))
     per_event = calls / counters["events_dispatched"]
     assert per_event <= MAX_SIM_CALLS_PER_EVENT, (
         f"{calls} calls into repro/sim for "
         f"{counters['events_dispatched']} dispatched events")
+
+
+def test_no_helper_process_per_message(profiled_point):
+    stats, _ = profiled_point
+    code = Process.__init__.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    built = stats[key][1]
+    assert 0 < built <= MAX_PROCESSES, (
+        f"{built} Process objects: a per-message helper is a process")
 
 
 def test_partition_calls_per_merge_window(monkeypatch):
