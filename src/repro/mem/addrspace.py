@@ -10,7 +10,7 @@ identical policy code, since SOL only ever sees access bits.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
 
 import numpy as np
 
@@ -35,6 +35,23 @@ class AddressSpace:
                  seed: int = 0):
         if total_bytes < BATCH_BYTES:
             raise ValueError("address space smaller than one batch")
+        for name, fraction in (("hot_fraction", hot_fraction),
+                               ("warm_fraction", warm_fraction)):
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], "
+                                 f"got {fraction!r}")
+        if hot_fraction + warm_fraction > 1.0:
+            raise ValueError(
+                f"hot_fraction + warm_fraction must not exceed 1, got "
+                f"{hot_fraction!r} + {warm_fraction!r}")
+        for name, rate in (("hot_rate_hz", hot_rate_hz),
+                           ("warm_rate_hz", warm_rate_hz),
+                           ("cold_rate_hz", cold_rate_hz)):
+            # A negative or non-finite rate makes an invalid binomial
+            # ``p`` (inf * a zero interval is NaN) at the first scan.
+            if not (rate >= 0.0 and math.isfinite(rate)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"non-negative, got {rate!r}")
         self.n_batches = total_bytes // BATCH_BYTES
         self.total_bytes = self.n_batches * BATCH_BYTES
         self.rng = np.random.default_rng(seed)
@@ -69,9 +86,18 @@ class AddressSpace:
         access process observed over the time since the last scan.
         """
         batch_ids = np.asarray(batch_ids)
-        interval_s = (now_ns - self.last_scan_ns[batch_ids]) / 1e9
-        interval_s = np.maximum(interval_s, 0.0)
-        p_accessed = 1.0 - np.exp(-self.rates[batch_ids] * interval_s)
+        # One buffer carries interval -> exponent -> probability, with
+        # the operations of 1 - exp(-rate * max((now - last) / 1e9, 0))
+        # in that order, so each ``p`` is bit-identical to the formula.
+        p_accessed = self.last_scan_ns[batch_ids]
+        np.subtract(now_ns, p_accessed, out=p_accessed)
+        np.divide(p_accessed, 1e9, out=p_accessed)
+        np.maximum(p_accessed, 0.0, out=p_accessed)
+        neg_rates = self.rates[batch_ids]
+        np.negative(neg_rates, out=neg_rates)
+        np.multiply(neg_rates, p_accessed, out=p_accessed)
+        np.exp(p_accessed, out=p_accessed)
+        np.subtract(1.0, p_accessed, out=p_accessed)
         accessed = self.rng.binomial(BATCH_PAGES, p_accessed)
         self.last_scan_ns[batch_ids] = now_ns
         return accessed

@@ -22,11 +22,14 @@ from repro.mem.thompson import BetaBandit
 
 #: The section 7.4.1 scan-period ladder (ns).
 SCAN_PERIODS_NS = (600e6, 1.2e9, 2.4e9, 4.8e9, 9.6e9)
+_LADDER_NS = np.asarray(SCAN_PERIODS_NS)
 #: Migration epoch: 4x the slowest scan period.
 EPOCH_NS = 4 * SCAN_PERIODS_NS[-1]
 
 #: Posterior thresholds mapping hotness to a ladder rung: sampled
 #: per-page access probability above threshold[i] -> period i.
+#: Strictly descending, so a sample's rung is the number of thresholds
+#: it falls below (see :func:`ladder_rungs`).
 LADDER_THRESHOLDS = (0.5, 0.2, 0.05, 0.01)
 #: A batch whose posterior sample clears this joins the fast tier.
 HOT_TIER_THRESHOLD = 0.02
@@ -35,6 +38,17 @@ HOT_TIER_THRESHOLD = 0.02
 #: extraction + posterior update + sampling). [fit: section 7.4.2's
 #: on-host 16-core iteration of ~309 ms over the steady-state scan set]
 CLASSIFY_BATCH_NS = 3_350.0
+
+
+def ladder_rungs(samples: np.ndarray) -> np.ndarray:
+    """Ladder rung (int8) of each posterior sample: the first ``i`` with
+    ``sample >= LADDER_THRESHOLDS[i]``, else the slowest period."""
+    rung = np.zeros(len(samples), dtype=np.int8)
+    below = np.empty(len(samples), dtype=bool)
+    for threshold in LADDER_THRESHOLDS:
+        np.less(samples, threshold, out=below)
+        rung += below
+    return rung
 
 
 @dataclasses.dataclass
@@ -82,23 +96,23 @@ class SolPolicy:
         if len(due) == 0:
             return None
         accessed, scan_cost = self.scanner.scan(due, now_ns)
-        self.bandit.update(due, accessed, BATCH_PAGES)
-        samples = self.bandit.sample(due)
+        # ``due`` comes from ``np.nonzero``: sorted and free of repeats,
+        # as ``observe`` requires.
+        samples = self.bandit.observe(due, accessed, BATCH_PAGES)
 
         # Re-assign ladder rungs from the posterior sample.
-        rung = np.full(len(due), len(SCAN_PERIODS_NS) - 1, dtype=np.int8)
-        for i, threshold in enumerate(LADDER_THRESHOLDS):
-            rung[(samples >= threshold) & (rung == len(SCAN_PERIODS_NS) - 1)] \
-                = i
+        rung = ladder_rungs(samples)
         self.period_idx[due] = rung
-        periods = np.asarray(SCAN_PERIODS_NS)[self.period_idx[due]]
+        periods = _LADDER_NS.take(rung)
         if self.iterations == 0:
             # Stagger each batch's first rescan uniformly within its
             # period so same-period cohorts don't arrive as synchronized
             # bursts (production address spaces age incrementally).
-            periods = periods * self.bandit.rng.uniform(
-                0.1, 1.0, size=len(due))
-        self.next_scan_ns[due] = now_ns + periods
+            periods *= self.bandit.rng.uniform(0.1, 1.0, size=len(due))
+        periods += now_ns
+        self.next_scan_ns[due] = periods
+        # The per-scan temporaries go before an epoch's full-size ones.
+        del accessed, samples, rung, periods
 
         epoch = (now_ns - self.last_epoch_ns) >= EPOCH_NS
         to_fast = np.empty(0, dtype=np.int64)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.ghost.task import GhostTask, TaskState
 from repro.obs.metrics import NULL_METRIC
+
+#: The start time of a ``_running`` entry ``(task, started)``.
+_started = itemgetter(1)
 
 
 class SchedPolicy:
@@ -96,5 +100,4 @@ class SchedPolicy:
             return None
         if self.runnable_count() == 0:
             return None
-        return min(started for _, started in self._running.values()) \
-            + self.time_slice
+        return min(map(_started, self._running.values())) + self.time_slice

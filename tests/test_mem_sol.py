@@ -38,6 +38,33 @@ class TestAddressSpace:
         with pytest.raises(ValueError):
             AddressSpace(total_bytes=1024)
 
+    @pytest.mark.parametrize("name,value", [
+        ("hot_fraction", -0.1), ("hot_fraction", 1.5),
+        ("warm_fraction", -0.1), ("warm_fraction", 1.5),
+    ])
+    def test_fraction_outside_unit_interval_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            small_space(**{name: value})
+
+    def test_fractions_summing_above_one_rejected(self):
+        # Would silently truncate the warm set to the batches left over.
+        with pytest.raises(ValueError, match="must not exceed 1"):
+            small_space(hot_fraction=0.7, warm_fraction=0.5)
+
+    @pytest.mark.parametrize("name", ["hot_rate_hz", "warm_rate_hz",
+                                      "cold_rate_hz"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_bad_rate_rejected(self, name, value):
+        # Each would reach ``binomial`` as an invalid ``p`` mid-run.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            small_space(**{name: value})
+
+    def test_edge_configs_accepted(self):
+        space = small_space(hot_fraction=0.75, warm_fraction=0.25,
+                            cold_rate_hz=0.0)
+        assert len(space.hot_ids) + len(space.warm_ids) == space.n_batches
+        assert small_space(hot_fraction=0.0, warm_fraction=1.0).hot_bytes == 0
+
     def test_hot_batches_show_access_bits(self):
         space = small_space()
         accessed = space.harvest_access_bits(space.hot_ids, now_ns=1e9)
