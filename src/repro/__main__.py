@@ -254,6 +254,16 @@ def cmd_info() -> int:
     return 0
 
 
+def _percentile(text: str) -> float:
+    """``--percentile``: a float in [0, 100], checked before the
+    experiment runs."""
+    from repro.obs.causal import check_percentile
+    try:
+        return check_percentile(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -298,11 +308,11 @@ def main(argv=None) -> int:
     analyze_p.add_argument("--jobs", type=int, default=None, metavar="N",
                            help="fan independent points across N processes "
                                 "(-1 = all cores)")
-    analyze_p.add_argument("--percentile", type=float, default=99.0,
+    analyze_p.add_argument("--percentile", type=_percentile, default=99.0,
                            metavar="P",
-                           help="tail percentile whose representative "
-                                "request's critical path is rendered "
-                                "(default 99)")
+                           help="tail percentile in [0, 100] whose "
+                                "representative request's critical path "
+                                "is rendered (default 99)")
     timeline_p = sub.add_parser(
         "timeline", help="run one experiment with the metric timeline "
                          "sampler: sparklines, SLO monitors, incident "

@@ -12,12 +12,35 @@ All times are nanoseconds; all sizes are bytes unless suffixed.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 #: x86 cache-line size; MMIO write-through fills operate at this grain.
 CACHE_LINE_BYTES = 64
 
 #: All queue entries are multiples of 64-bit words.
 WORD_BYTES = 8
+
+#: The float fields that are rates or ratios, not times or costs: each
+#: must be positive and finite. Every other float field is a time or a
+#: cost in ns, which must be finite and non-negative.
+_POSITIVE = ("dma_bandwidth", "host_base_ghz", "host_max_ghz",
+             "smt_efficiency", "nic_ghz", "nic_reference_ghz",
+             "nic_compute_handicap")
+#: The int fields that count cores or sockets: each must be at least 1.
+#: The other int fields (doorbell writes, retries) must be at least 0.
+_AT_LEAST_ONE = ("host_sockets", "cores_per_socket", "threads_per_core",
+                 "cores_per_ccx", "nic_cores")
+#: How :meth:`HwParams.domain_lookahead` derives each hop, for errors.
+_LOOKAHEAD_TERMS = {
+    ("host", "ic"): "mmio_write_uc",
+    ("ic", "nic"): "min(mmio_write_visibility, dma_base_latency) "
+                   "- mmio_write_uc",
+    ("host", "nic"): "min(mmio_write_visibility, dma_base_latency)",
+    ("nic", "ic"): "msix_send_reg",
+    ("ic", "host"): "msix_e2e - msix_send_ioctl - msix_receive "
+                    "- msix_send_reg",
+    ("nic", "host"): "msix_e2e - msix_send_ioctl - msix_receive",
+}
 
 
 @dataclasses.dataclass
@@ -142,6 +165,40 @@ class HwParams:
     #: mappings legal on the host and remove software coherence.
     coherent: bool = False
 
+    def __post_init__(self) -> None:
+        """Reject, naming the field, a configuration no deployment can
+        have: a negative or non-finite time or cost, a rate or ratio
+        that is not positive, a core or socket count below 1, a
+        negative MSI-X wire time, or a host<->NIC hop (Table 2's minima,
+        :meth:`domain_lookahead`) that takes no time."""
+        for field in dataclasses.fields(self):
+            name = field.name
+            value = getattr(self, name)
+            if field.type == "float" and name in _POSITIVE:
+                if not (value > 0.0 and math.isfinite(value)):
+                    raise ValueError(f"HwParams.{name} must be positive "
+                                     f"and finite, got {value!r}")
+            elif field.type == "float":
+                if not (value >= 0.0 and math.isfinite(value)):
+                    raise ValueError(f"HwParams.{name} must be finite "
+                                     f"and non-negative, got {value!r}")
+            elif field.type == "int":
+                least = 1 if name in _AT_LEAST_ONE else 0
+                if not value >= least:
+                    raise ValueError(f"HwParams.{name} must be at least "
+                                     f"{least}, got {value!r}")
+        if self.msix_e2e < self.msix_send_ioctl + self.msix_receive:
+            raise ValueError(
+                f"HwParams.msix_e2e ({self.msix_e2e!r}) is below "
+                f"msix_send_ioctl + msix_receive ({self.msix_send_ioctl!r}"
+                f" + {self.msix_receive!r}): a negative MSI-X wire time")
+        for hop, window in self.domain_lookahead().items():
+            if not window > 0.0:
+                raise ValueError(
+                    f"HwParams lookahead {hop[0]} -> {hop[1]} "
+                    f"({_LOOKAHEAD_TERMS[hop]}) is {window!r} ns: a "
+                    f"host<->NIC hop must take time")
+
     def domain_lookahead(self) -> dict:
         """Minimum cross-domain latencies: the conservative-PDES windows.
 
@@ -160,9 +217,9 @@ class HwParams:
         - ``ic -> host``: the MSI-X wire propagation (e2e minus send
           ioctl minus receive overhead), minus the nic->ic leg.
 
-        Used by :meth:`repro.hw.pcie.Interconnect.partition_plan`; any
-        window that comes out non-positive makes the plan unusable and
-        the kernel falls back to the serial path.
+        Used by :meth:`repro.hw.pcie.Interconnect.partition_plan`.
+        Construction rejects parameters that make any window
+        non-positive, so every plan built from them is usable.
         """
         host_ic = self.mmio_write_uc
         ic_nic = min(self.mmio_write_visibility,

@@ -32,10 +32,12 @@ import math
 import operator
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain
+from collections import Counter
+from functools import reduce
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.spans import _NONE, Span, SpanLog, Telemetry
+from repro.obs.spans import _NONE, Span, SpanLog, Telemetry, _where
 
 #: Layer order for tables (totals render in this order).
 LAYERS = ("host-cpu", "pcie", "nic-core", "ring", "sched-policy",
@@ -120,6 +122,11 @@ class CausalGraph:
       ``_roots``, and its members in record order,
       ``_members[_req_off[k]:_req_off[k + 1]]``.
 
+    Building it keeps no Python object per span or member: the request
+    index is sized by one counting pass and filled in place, and the
+    few extra edges wait in parallel ``array('i')`` columns until they
+    are folded into rows.
+
     ``truncated`` counts edge references to spans no longer in the log
     (evicted from the bounded ring, or filtered): the analyzer treats
     every such edge as absent and flags the affected request partial.
@@ -137,23 +144,31 @@ class CausalGraph:
         link_base = log._links_base
         pred = array("i", [-1]) * n
         child = array("i", [-1]) * n
+        # Requests in id order; request k's members fill
+        # ``members[req_off[k]:req_off[k + 1]]`` in record order, and
+        # ``fill`` holds each request's next free slot.
+        sizes = Counter(reqs)
+        sizes.pop(_NONE, None)
+        req_ids = sorted(sizes)
+        req_off = array("i", accumulate(map(sizes.__getitem__, req_ids),
+                                        initial=0))
+        del sizes
+        fill = dict(zip(req_ids, req_off))
+        members = array("i", bytes(4 * req_off[-1]))
         # Entries beyond a span's first predecessor / first child, as
-        # (span, entry) pairs.
-        more_preds, more_children = [], []
+        # parallel (span, entry) columns.
+        more_preds, pred_entries = array("i"), array("i")
+        more_children, child_entries = array("i"), array("i")
         severed = []  # one entry per reference to a span not in the log
-        members = {}  # request id -> member positions, in record order
         lo = log._link_off[0] - link_base
-        for pos, parent, req, hi in zip(range(n), parents, reqs,
-                                        log._link_off[1:]):
+        for pos, parent, req, hi in zip(count(), parents, reqs,
+                                        islice(log._link_off, 1, None)):
             hi -= link_base
             if hi > lo:
                 ids = links[lo:hi]
+                lo = hi
                 if parent != _NONE:
                     ids = (parent, *ids)
-            else:
-                ids = (parent,) if parent != _NONE else ()
-            lo = hi
-            if ids:
                 has_pred = False
                 for sid in ids:
                     if not first <= sid < stop:
@@ -161,36 +176,47 @@ class CausalGraph:
                         continue
                     at = sid - first
                     if has_pred:
-                        more_preds.append((pos, at))
+                        more_preds.append(pos)
+                        pred_entries.append(at)
                     else:
                         pred[pos] = at
                         has_pred = True
                     if child[at] < 0:
                         child[at] = pos
                     else:
-                        more_children.append((at, pos))
-            if req != _NONE:
-                mine = members.get(req)
-                if mine is None:
-                    members[req] = [pos]
+                        more_children.append(at)
+                        child_entries.append(pos)
+            elif parent != _NONE:
+                # Most spans: one parent and no links.
+                if first <= parent < stop:
+                    at = parent - first
+                    pred[pos] = at
+                    if child[at] < 0:
+                        child[at] = pos
+                    else:
+                        more_children.append(at)
+                        child_entries.append(pos)
                 else:
-                    mine.append(pos)
+                    severed.append(pos)
+            if req != _NONE:
+                slot = fill[req]
+                members[slot] = pos
+                fill[req] = slot + 1
+        del fill
         self.truncated = len(severed)
         self._severed = set(severed)
         self._partial_reqs = {reqs[pos] for pos in self._severed}
         self._partial_reqs.discard(_NONE)
         self._pred, self._pred_rows, self._pred_off = \
-            _with_rows(pred, more_preds)
+            _with_rows(pred, more_preds, pred_entries)
         self._child, self._child_rows, self._child_off = \
-            _with_rows(child, more_children)
-        req_ids = sorted(members)
-        rows = [members[req] for req in req_ids]
-        del members
-        roots = []
-        for req, row in zip(req_ids, rows):
+            _with_rows(child, more_children, child_entries)
+        roots = array("i", bytes(4 * len(req_ids)))
+        for k, req in enumerate(req_ids):
             # Root: the earliest span of the request with no surviving
             # parent (the minted root, or the surviving suffix head
             # after eviction severed the chain; _NONE is below every id).
+            row = members[req_off[k]:req_off[k + 1]]
             for pos in row:
                 if not first <= parents[pos] < stop:
                     break
@@ -200,11 +226,11 @@ class CausalGraph:
                 # span.
                 pos = row[0]
                 self._partial_reqs.add(req)
-            roots.append(pos)
+            roots[k] = pos
         self._req_ids = array("q", req_ids)
-        self._roots = array("i", roots)
-        self._req_off = array("i", accumulate(map(len, rows), initial=0))
-        self._members = array("i", chain.from_iterable(rows))
+        self._roots = roots
+        self._req_off = req_off
+        self._members = members
         # Each stage's layer, or None for ``rpc.*`` stages, whose layer
         # depends on the span's ``where`` attribute.
         self._stage_layers = [
@@ -225,8 +251,32 @@ class CausalGraph:
     def traces(self) -> List[RequestTrace]:
         return [self._trace(k) for k in range(len(self._req_ids))]
 
+    def columns(self) -> "RequestColumns":
+        """Every request's latency, partial flag and blame, as columns
+        in id order: what the reports read of this run."""
+        n = len(self._req_ids)
+        latency = array("d", bytes(8 * n))
+        partial = array("b", bytes(n))
+        blame: Dict[str, array] = {}
+        for k in range(n):
+            _, latency[k], charged, partial[k] = self._walk(k)
+            for layer, ns in charged.items():
+                column = blame.get(layer)
+                if column is None:
+                    column = blame[layer] = array("d", bytes(8 * n))
+                column[k] = ns
+        return RequestColumns(self._req_ids, latency, partial, blame,
+                              self.truncated)
+
     def _trace(self, k: int) -> RequestTrace:
         """The trace of the ``k``-th request in id order."""
+        path, latency, blame, partial = self._walk(k)
+        return RequestTrace(self.run.label, self._req_ids[k], path,
+                            latency, blame, partial, self._log)
+
+    def _walk(self, k: int) -> Tuple[array, float, Dict[str, float], bool]:
+        """The ``k``-th request's ``(path, latency_ns, blame,
+        partial)``, as :class:`RequestTrace` holds them."""
         log = self._log
         begins = log._begin
         ends = log._end
@@ -320,8 +370,7 @@ class CausalGraph:
         if end != end:
             end = begins[terminal]
         latency = max(0.0, end - begins[path[0]])
-        return RequestTrace(self.run.label, req, path, latency,
-                            self._blame(path, queued), partial, log)
+        return path, latency, self._blame(path, queued), partial
 
     def _blame(self, path: array,
                queued: List[Tuple[float, float]]) -> Dict[str, float]:
@@ -371,16 +420,20 @@ class CausalGraph:
         return blame
 
 
-def _with_rows(one: array, more: List[Tuple[int, int]]
+def _with_rows(one: array, spans: array, entries: array
                ) -> Tuple[array, array, array]:
-    """Fold ``more``, the (span, entry) pairs beyond each span's first
-    entry in ``one``, into rows: a span with several entries gets
-    ``one[span] = -2 - row`` and row ``row`` lists all of them."""
+    """Fold the entries beyond each span's first one (``entries[i]``
+    of ``spans[i]``; the first is ``one[span]``) into rows, in (span,
+    entry) order: a span with several entries gets ``one[span] = -2 -
+    row``, and row ``row`` lists all of them, the first one first."""
     rows = array("i")
     off = array("i", [0])
-    more.sort()
+    n = len(one)
     last = -1
-    for pos, entry in more:
+    # Each pair travels through the sort as one int, span * n + entry.
+    for key in sorted(map(operator.add,
+                          map(operator.mul, spans, repeat(n)), entries)):
+        pos, entry = divmod(key, n)
         if pos != last:
             if last != -1:
                 off.append(len(rows))
@@ -393,26 +446,73 @@ def _with_rows(one: array, more: List[Tuple[int, int]]
     return one, rows, off
 
 
+class RequestColumns:
+    """One run's causal pass, as columns over its requests in id order:
+    all the reports read of it.
+
+    - ``req``: the request ids, ``array('q')``;
+    - ``latency_ns``: each one's end-to-end latency, ``array('d')``;
+    - ``partial``: 1 where eviction severed its chain, ``array('b')``;
+    - ``blame``: each layer some request was charged to, in the order
+      the pass first charged it, mapped to an ``array('d')`` of the ns
+      each request was charged there (0.0 for none; a charge is never
+      0.0, so a sum over a column is the sum over the charges);
+    - ``truncated``: the run's severed edge references.
+
+    A request's path is not kept: :meth:`CausalGraph.trace` walks it
+    again when a report renders it.
+    """
+
+    __slots__ = ("req", "latency_ns", "partial", "blame", "truncated")
+
+    def __init__(self, req: array, latency_ns: array, partial: array,
+                 blame: Dict[str, array], truncated: int):
+        self.req = req
+        self.latency_ns = latency_ns
+        self.partial = partial
+        self.blame = blame
+        self.truncated = truncated
+
+
 def request_traces(telemetry: Telemetry) -> Tuple[List[RequestTrace], int]:
     """Every run's request traces (run order, then request id), plus
     the total count of truncated edge references.
 
-    Each run's causal pass is memoized on the run (see
-    :func:`_run_traces`), so every report rendered from one hub shares
-    it. The returned list is fresh; the traces in it are shared and
-    must be treated as read-only.
+    The traces are built on every call and not memoized (reports read
+    :class:`RequestColumns` instead); each run's graph is reused while
+    it is the one its hub keeps (:func:`_graph`).
     """
     traces: List[RequestTrace] = []
     truncated = 0
     for run in telemetry.runs:
-        run_truncated, run_traces = _run_traces(run)
-        truncated += run_truncated
-        traces.extend(run_traces)
+        graph = _graph(run)
+        truncated += graph.truncated
+        traces.extend(graph.traces())
     return traces, truncated
 
 
-def _run_traces(run) -> Tuple[int, List[RequestTrace]]:
-    """One run's ``(truncated, traces)``, recomputed only when a span
+def _graph(run) -> CausalGraph:
+    """``run``'s :class:`CausalGraph`, built again only when a span was
+    recorded or closed since.
+
+    A hub keeps at most one graph alive, the one built most recently:
+    building one drops any other run's first, so a sweep's analysis
+    holds one run's index at a time. The graph lives on the run object
+    only, like the :func:`_columns` memo.
+    """
+    recorded = run.spans.recorded
+    kept = run._graph
+    if kept is not None and kept[0] == recorded:
+        return kept[1]
+    for other in run.hub.runs:
+        other._graph = None
+    graph = CausalGraph(run)
+    run._graph = (recorded, graph)
+    return graph
+
+
+def _columns(run) -> RequestColumns:
+    """One run's :class:`RequestColumns`, recomputed only when a span
     was recorded or closed, or the run relabelled, since the last pass.
 
     The memo lives on the run object only: shards carry the span log
@@ -422,14 +522,8 @@ def _run_traces(run) -> Tuple[int, List[RequestTrace]]:
     key = (run.spans.recorded, run.label)
     memo = run._causal
     if memo is None or memo[0] != key:
-        graph = CausalGraph(run)
-        memo = run._causal = (key, graph.truncated, graph.traces())
-    return memo[1], memo[2]
-
-
-#: Sort key for representatives: end-to-end latency, ties broken by run
-#: label + request id.
-_by_latency = operator.attrgetter("latency_ns", "run_label", "req")
+        memo = run._causal = (key, _graph(run).columns())
+    return memo[1]
 
 
 def _rank(n: int, q: float) -> int:
@@ -438,50 +532,97 @@ def _rank(n: int, q: float) -> int:
     return min(max(0, math.ceil(q / 100.0 * n) - 1), n - 1)
 
 
-def _pct(sorted_values: List[float], q: float) -> float:
+def _pct(sorted_values, q: float) -> float:
     """Exact nearest-rank percentile of sorted values (0.0 if none)."""
     if not sorted_values:
         return 0.0
     return sorted_values[_rank(len(sorted_values), q)]
 
 
-def _representative(traces: List[RequestTrace],
-                    q: float) -> Optional[RequestTrace]:
-    """The request sitting at the nearest-rank ``q`` percentile of
-    end-to-end latency."""
-    if not traces:
-        return None
-    return sorted(traces, key=_by_latency)[_rank(len(traces), q)]
+def check_percentile(q: float) -> float:
+    """``q``, if it is a percentile in [0, 100]; a ``ValueError`` that
+    names it otherwise (NaN and infinities included)."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be a finite number in "
+                         f"[0, 100], got {q!r}")
+    return q
+
+
+class RequestTable:
+    """Every request of a hub: each run with its :class:`RequestColumns`
+    (run order), and all their latencies, sorted. ``len()`` counts the
+    requests."""
+
+    __slots__ = ("runs", "columns", "latencies")
+
+    def __init__(self, telemetry: Telemetry):
+        self.runs = list(telemetry.runs)
+        self.columns = [_columns(run) for run in self.runs]
+        self.latencies = array("d", sorted(chain.from_iterable(
+            columns.latency_ns for columns in self.columns)))
+
+    def __len__(self) -> int:
+        return len(self.latencies)
+
+    def at_rank(self, q: float) -> Tuple[object, RequestColumns, int]:
+        """``(run, columns, k)``: the request at the nearest-rank ``q``
+        percentile, its requests sorted by end-to-end latency, then run
+        label, then request id (then run order).
+
+        Only the requests whose latency ties with that rank's are
+        sorted by the full key.
+        """
+        latencies = self.latencies
+        rank = _rank(len(latencies), q)
+        latency = latencies[rank]
+        ties = []
+        for i, (run, columns) in enumerate(zip(self.runs, self.columns)):
+            req = columns.req
+            ties.extend((run.label, req[k], i, k)
+                        for k in _where(columns.latency_ns, latency))
+        ties.sort()
+        _, _, i, k = ties[rank - bisect_left(latencies, latency)]
+        return self.runs[i], self.columns[i], k
+
+
+def _charged(rep: Tuple[object, RequestColumns, int], layer: str) -> float:
+    """The ns ``layer`` charged the request ``rep`` names."""
+    _, columns, k = rep
+    column = columns.blame.get(layer)
+    return 0.0 if column is None else column[k]
 
 
 def blame_table(telemetry: Telemetry):
     """Per-layer latency decomposition across all traced requests.
 
-    Returns ``(rows, traces, truncated)`` where each row is
-    ``(layer, mean_ns, share, p50_ns, p95_ns, p99_ns)``: the mean is
-    over all requests, and the percentile columns decompose the
-    requests *at* those latency percentiles -- a Table 3-style "where
-    does the p99 request spend its time" read, straight from the trace.
+    Returns ``(rows, requests, truncated)``: ``requests`` is the hub's
+    :class:`RequestTable`, and each row is ``(layer, mean_ns, share,
+    p50_ns, p95_ns, p99_ns)``: the mean is over all requests, and the
+    percentile columns decompose the requests *at* those latency
+    percentiles -- a Table 3-style "where does the p99 request spend
+    its time" read, straight from the trace.
     """
-    traces, truncated = request_traces(telemetry)
-    if not traces:
-        return [], traces, truncated
-    n = len(traces)
-    ordered = sorted(traces, key=_by_latency)
-    p50, p95, p99 = [ordered[_rank(n, q)].blame for q in (50.0, 95.0, 99.0)]
+    requests = RequestTable(telemetry)
+    truncated = sum(columns.truncated for columns in requests.columns)
+    n = len(requests)
+    if not n:
+        return [], requests, truncated
+    reps = [requests.at_rank(q) for q in (50.0, 95.0, 99.0)]
     sums: Dict[str, float] = {}
-    for trace in traces:
-        for layer, ns in trace.blame.items():
-            sums[layer] = sums.get(layer, 0.0) + ns
+    for columns in requests.columns:
+        for layer, column in columns.blame.items():
+            # Left to right, one float addition per request (not sum(),
+            # which compensates since Python 3.12): the additions of
+            # summing each request's charges in run order, then id order.
+            sums[layer] = reduce(operator.add, column, sums.get(layer, 0.0))
     grand = sum(sums.values()) or 1.0
     rows = []
     layers = [layer for layer in LAYERS if layer in sums]
     layers += sorted(set(sums) - set(LAYERS))
     for layer in layers:
         rows.append((layer, sums[layer] / n, sums[layer] / grand,
-                     p50.get(layer, 0.0), p95.get(layer, 0.0),
-                     p99.get(layer, 0.0)))
-    return rows, traces, truncated
+                     *[_charged(rep, layer) for rep in reps]))
+    return rows, requests, truncated
 
 
 # -- rendering ---------------------------------------------------------------
@@ -498,13 +639,13 @@ def causal_section(telemetry: Telemetry, table=None) -> List[str]:
     from repro.obs.report import md_table
     if table is None:
         table = blame_table(telemetry)
-    rows, traces, truncated = table
-    if not traces:
+    rows, requests, truncated = table
+    if not requests:
         return []
     out = ["## Causal request blame", ""]
-    latencies = sorted([t.latency_ns for t in traces])
-    partial = sum(1 for t in traces if t.partial)
-    out.append(f"- requests traced: {len(traces)}")
+    latencies = requests.latencies
+    partial = sum(columns.partial.count(1) for columns in requests.columns)
+    out.append(f"- requests traced: {len(requests)}")
     out.append(f"- end-to-end latency (us): "
                f"p50 {_fmt_us(_pct(latencies, 50.0))} / "
                f"p95 {_fmt_us(_pct(latencies, 95.0))} / "
@@ -523,14 +664,16 @@ def causal_section(telemetry: Telemetry, table=None) -> List[str]:
     return out
 
 
-def critical_path_section(traces: List[RequestTrace],
+def critical_path_section(requests: RequestTable,
                           q: float = 99.0) -> List[str]:
     """Markdown lines walking the critical path of the request at the
-    ``q`` latency percentile."""
-    rep = _representative(traces, q)
-    if rep is None:
+    ``q`` latency percentile (``requests`` is :func:`blame_table`'s).
+    Only that request's path is walked."""
+    if not requests:
         return []
-    out = [f"## Critical path of the p{q:.0f} request "
+    run, _, k = requests.at_rank(q)
+    rep = _graph(run)._trace(k)
+    out = [f"## Critical path of the p{q:g} request "
            f"({rep.run_label}, req {rep.req}, "
            f"{_fmt_us(rep.latency_ns)} us"
            f"{', partial' if rep.partial else ''})", ""]
@@ -596,7 +739,9 @@ def partition_section(telemetry: Telemetry) -> List[str]:
 
 def analyze_report(telemetry: Telemetry, title: str = "causal analysis",
                    percentile: float = 99.0) -> str:
-    """The full ``python -m repro analyze`` Markdown report."""
+    """The full ``python -m repro analyze`` Markdown report; a
+    ``percentile`` outside [0, 100] raises ``ValueError``."""
+    check_percentile(percentile)
     out: List[str] = [f"# {title}", ""]
     with_ids = sum(run.spans.identified() for run in telemetry.runs)
     out.append(f"- runs: {len(telemetry.runs)}")
@@ -622,6 +767,7 @@ def analyze_report(telemetry: Telemetry, title: str = "causal analysis",
 
 
 __all__ = ["LAYERS", "layer_of", "CausalGraph", "RequestTrace",
+           "RequestColumns", "RequestTable", "check_percentile",
            "request_traces", "blame_table", "causal_section",
            "critical_path_section", "partition_section",
            "analyze_report"]

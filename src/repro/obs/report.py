@@ -13,11 +13,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from array import array
+from typing import Dict, List
 
+from repro.obs.causal import _rank
 from repro.obs.export import metrics_digest
 from repro.obs.spans import Telemetry
-from repro.sim.monitor import LatencyStats
 
 
 def md_table(headers: List[str], rows: List[List[str]]) -> str:
@@ -35,24 +36,37 @@ _md_table = md_table
 
 def stage_breakdown(telemetry: Telemetry) -> List[tuple]:
     """Per-stage ``(stage, count, mean_us, p50_us, p99_us, max_us)``,
-    sorted by total time descending."""
-    stats = {}
+    sorted by total time descending.
+
+    Each stage's closed-span durations are collected in one
+    ``array('d')``, in run order and then record order; the statistics
+    are :class:`~repro.sim.monitor.LatencyStats`' over those samples:
+    ``sum()`` over them for the mean, and nearest-rank percentiles.
+    """
+    durations: Dict[str, array] = {}  # in the order stages first closed
     for run in telemetry.runs:
         log = run.spans
         log.compact()
         names = log._stage_names
+        columns = [None] * len(names)
         for stage, begin, end in zip(log._stage, log._begin, log._end):
             if end != end:  # still open
                 continue
-            name = names[stage]
-            stat = stats.get(name)
-            if stat is None:
-                stat = stats[name] = LatencyStats(name)
-            stat.record(end - begin)
+            column = columns[stage]
+            if column is None:
+                column = durations.get(names[stage])
+                if column is None:
+                    column = durations[names[stage]] = array("d")
+                columns[stage] = column
+            column.append(end - begin)
     rows = []
-    for stage, stat in stats.items():
-        rows.append((stage, stat.count, stat.mean / 1e3, stat.p50 / 1e3,
-                     stat.p99 / 1e3, stat.max / 1e3))
+    for stage, column in durations.items():
+        n = len(column)
+        ordered = sorted(column)
+        rows.append((stage, n, sum(column) / n / 1e3,
+                     ordered[_rank(n, 50)] / 1e3,
+                     ordered[_rank(n, 99)] / 1e3, max(column) / 1e3))
+        del ordered  # one sorted copy alive at a time
     rows.sort(key=lambda r: -(r[1] * r[2]))
     return rows
 

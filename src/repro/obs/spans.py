@@ -22,7 +22,8 @@ pay -- so an instrumented run is numerically identical to a bare one.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
+from operator import eq
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import CounterMetric, HistogramMetric, MetricsRegistry
@@ -489,8 +490,9 @@ class SpanLog:
         sids = self._sid
         n = len(sids)
         first = sids[0] if n else 0
-        if n == 0 or (first != _NONE and sids == array(
-                "q", range(first, first + n))):
+        # Dense and in record order: checked one slot at a time, with
+        # no copy of the column.
+        if first != _NONE and all(map(eq, sids, count(first))):
             return self, first
         kept = [slot for slot in range(n) if sids[slot] != _NONE]
         index = {sids[slot]: pos for pos, slot in enumerate(kept)}
@@ -635,10 +637,13 @@ class RunTelemetry:
         #: :class:`repro.obs.timeline.RunTimeline` when the hub samples
         #: timelines; carried through shards like ``partition``.
         self.timeline = None
-        #: The last causal pass over this run's spans, memoized by
-        #: :func:`repro.obs.causal.request_traces`; never shipped in a
-        #: shard, exported or digested.
+        #: The last causal pass over this run's spans, as request
+        #: columns memoized by :func:`repro.obs.causal._columns`, and
+        #: the causal graph the hub keeps, if it is this run's
+        #: (:func:`repro.obs.causal._graph`); never shipped in a shard,
+        #: exported or digested.
         self._causal = None
+        self._graph = None
 
     @classmethod
     def restored(cls, hub: "Telemetry", run_index: int, label: str,
@@ -661,6 +666,7 @@ class RunTelemetry:
         run.partition = partition
         run.timeline = timeline
         run._causal = None
+        run._graph = None
         if timeline is not None:
             # Re-link the back-reference dropped on pickling so blame
             # attribution can read the restored run's spans.
@@ -738,7 +744,8 @@ class RunTelemetry:
         update its attributes as ``dict.update`` would."""
         if span is None:
             return
-        self._causal = None  # a causal pass that saw it open is stale
+        # A causal pass or graph that saw it open is stale.
+        self._causal = self._graph = None
         self.spans._close(span._seq, self.env.now, args)
 
     # -- metric shorthands --------------------------------------------------

@@ -13,9 +13,11 @@ import pytest
 from repro.core import Placement, WaveChannel, WaveOpts
 from repro.ghost import GhostAgent, GhostKernel, GhostTask
 from repro.hw import HwParams, Machine
-from repro.obs import SpanCtx, Telemetry, analyze_report, run_report
+from repro.obs import SpanCtx, Telemetry, analyze_report, causal, \
+    run_report
 from repro.obs.causal import (
     CausalGraph,
+    RequestTrace,
     blame_table,
     layer_of,
     partition_section,
@@ -275,6 +277,68 @@ def test_no_span_objects_outlive_the_reports():
     assert hub.runs[0]._causal is not None
     gc.collect()
     assert not [obj for obj in gc.get_objects() if isinstance(obj, Span)]
+
+
+def test_reports_keep_request_columns_and_peak_under_40_bytes_per_span(
+        monkeypatch):
+    """After both reports of a traced Wave-16 FIFO point, the run's
+    causal memo holds per-request columns, no ``RequestTrace``: at most
+    128 B per request. Rendering both reports lifts the traced memory
+    less than 40 B per span above the finished run. The pass that
+    memoized a ``RequestTrace`` per request kept ~545 B per request on
+    this point and peaked ~72 B per span above it."""
+    monkeypatch.delenv("REPRO_NO_PARTITION", raising=False)
+    hub = Telemetry()
+    with hub:
+        run_sched_point(Placement.NIC, WaveOpts.full(), 16, FifoPolicy,
+                        RocksDbModel.fifo_mix, 600_000,
+                        duration_ns=1_000_000, warmup_ns=200_000, seed=8)
+    run = hub.runs[0]
+    run.spans.compact()  # the finished run: every span in its columns
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_report(hub)
+        analyze_report(hub)
+        lift = tracemalloc.get_traced_memory()[1] - before
+        gc.collect()
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, RequestTrace)]
+        run._graph = None  # the one index the hub keeps
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        requests = len(run._causal[1].req)
+        run._causal = None
+        gc.collect()
+        memo = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert requests > 500
+    assert memo / requests <= 128
+    assert lift / len(run.spans) < 40
+
+
+def test_a_hub_keeps_one_graph():
+    """Analysing a sweep builds each run's graph in turn; only the one
+    built last stays alive, reused until its run records a span."""
+    hub = Telemetry()
+    for _ in range(3):
+        run = hub.attach(Environment())
+        root = run.span("sched.submit", "kernel", root=True)
+        run.span("task.run", "core0", dur_ns=5.0, ctx=run.ctx_after(root))
+    assert "Critical path" in analyze_report(hub)
+    assert sum(run._graph is not None for run in hub.runs) == 1
+    first, last = hub.runs[0], hub.runs[-1]
+    graph = causal._graph(last)
+    assert causal._graph(last) is graph
+    assert [run._graph is not None for run in hub.runs] == \
+        [False, False, True]
+    graph = causal._graph(first)
+    assert [run._graph is not None for run in hub.runs] == \
+        [True, False, False]
+    first.span("task.run", "core0", dur_ns=1.0)
+    assert causal._graph(first) is not graph
 
 
 # -- end-to-end: a real sched deployment -------------------------------------

@@ -63,3 +63,83 @@ def test_pte_semantics():
     assert PteType.WC.buffers_writes
     assert not PteType.UC.buffers_writes
     assert not PteType.WT.buffers_writes
+
+
+# -- validation at construction ---------------------------------------------
+
+@pytest.mark.parametrize("preset", ["pcie", "cxl", "upi"])
+@pytest.mark.parametrize("ghz", [1.5, 2.0, 2.5, 3.0])
+def test_every_preset_constructs(preset, ghz):
+    params = (HwParams.pcie() if preset == "pcie"
+              else getattr(HwParams, preset)(nic_ghz=ghz))
+    # Table 2's host<->NIC minimum: the fastest hop of each preset.
+    assert min(params.domain_lookahead().values()) == \
+        {"pcie": 50.0, "cxl": 60.0, "upi": 70.0}[preset]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mmio_read_uc", -1.0),
+    ("msix_receive", float("nan")),
+    ("tick_cost", float("inf")),
+    ("dma_timeout_ns", -float("inf")),
+    ("host_ipi_e2e", -0.5),
+])
+def test_bad_time_or_cost_fails_at_construction(field, value):
+    with pytest.raises(ValueError, match=f"HwParams.{field} must be finite "
+                                         f"and non-negative"):
+        HwParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["dma_bandwidth", "host_base_ghz",
+                                   "host_max_ghz", "nic_ghz",
+                                   "nic_reference_ghz", "smt_efficiency",
+                                   "nic_compute_handicap"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_rate_or_ratio_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=f"HwParams.{field} must be "
+                                         f"positive"):
+        HwParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["host_sockets", "cores_per_socket",
+                                   "threads_per_core", "cores_per_ccx",
+                                   "nic_cores"])
+def test_core_or_socket_count_below_one_fails(field):
+    with pytest.raises(ValueError, match=f"HwParams.{field} must be at "
+                                         f"least 1, got 0"):
+        HwParams(**{field: 0})
+
+
+def test_negative_retry_count_fails():
+    with pytest.raises(ValueError,
+                       match="dma_max_retries must be at least 0"):
+        HwParams(dma_max_retries=-1)
+
+
+def test_negative_msix_wire_time_fails():
+    # 340 ns ioctl + 350 ns receive leave no wire time in 600 ns.
+    with pytest.raises(ValueError, match="HwParams.msix_e2e .* negative "
+                                         "MSI-X wire time"):
+        HwParams(msix_e2e=600.0)
+    link = Interconnect(HwParams(msix_e2e=800.0))
+    assert link.msix_propagation() == pytest.approx(110.0)
+
+
+@pytest.mark.parametrize("changes,hop", [
+    # A posted write visible at the NIC before it enters the fabric.
+    ({"mmio_write_uc": 800.0}, "ic -> nic"),
+    # Wire time left, but less than the MSI-X register write.
+    ({"msix_e2e": 700.0}, "ic -> host"),
+    ({"mmio_write_uc": 0.0}, "host -> ic"),
+    ({"msix_send_reg": 0.0}, "nic -> ic"),
+])
+def test_hop_without_lookahead_fails(changes, hop):
+    with pytest.raises(ValueError, match=f"lookahead {hop} .* must take "
+                                         f"time"):
+        HwParams(**changes)
+
+
+def test_replace_revalidates():
+    import dataclasses
+    with pytest.raises(ValueError, match="nic_cores"):
+        dataclasses.replace(HwParams.pcie(), nic_cores=0)

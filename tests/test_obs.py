@@ -365,6 +365,31 @@ def test_run_report_sections():
     assert rows and all(len(r) == 6 for r in rows)
 
 
+def test_stage_breakdown_equals_latency_stats_bit_for_bit():
+    """The per-stage duration columns give exactly what one
+    ``LatencyStats`` per stage gives over the same closed spans, taken
+    in run order and then record order; the rows keep the order the
+    stages first closed in, then sort by total time."""
+    from repro.sim.monitor import LatencyStats
+    hub = Telemetry()
+    with hub:
+        _run_sched_deployment()
+        run_sched_point(Placement.NIC, WaveOpts.full(), 16, FifoPolicy,
+                        RocksDbModel.fifo_mix, 600_000,
+                        duration_ns=1_000_000, warmup_ns=200_000, seed=8)
+    stats = {}
+    for run in hub.runs:
+        for span in run.spans:
+            if span.end_ns is not None:
+                stat = stats.setdefault(span.stage, LatencyStats())
+                stat.record(span.end_ns - span.begin_ns)
+    expected = [(stage, stat.count, stat.mean / 1e3, stat.p50 / 1e3,
+                 stat.p99 / 1e3, stat.max / 1e3)
+                for stage, stat in stats.items()]
+    expected.sort(key=lambda r: -(r[1] * r[2]))
+    assert stage_breakdown(hub) == expected
+
+
 def test_report_includes_fault_timeline():
     from repro.bench.faults import ChaosTiming, run_chaos
     from repro.sim.faults import AGENT_CRASH

@@ -7,6 +7,7 @@ uncached path produces, and none may travel in a shard.
 """
 
 import enum
+import operator
 import pickle
 import random
 
@@ -23,11 +24,11 @@ from repro.obs.causal import CausalGraph, blame_table, layer_of, \
     request_traces
 from repro.obs.metrics import CounterMetric, _FrozenTimeWeighted, _key
 from repro.queues.ring import FloemRing
-from repro.sched import ShinjukuPolicy
+from repro.sched import FifoPolicy, ShinjukuPolicy
 from repro.sim import Environment
 
 
-def _observed_hub():
+def _observed_hub(policy=None):
     """A hub holding one small, fully traced sched deployment."""
     hub = Telemetry()
     with hub:
@@ -37,7 +38,7 @@ def _observed_hub():
                               name="t")
         kernel = GhostKernel(channel, core_ids=[0, 1],
                              rng=random.Random(1))
-        agent = GhostAgent(channel, ShinjukuPolicy(30_000),
+        agent = GhostAgent(channel, policy or ShinjukuPolicy(30_000),
                            kernel.core_ids)
         agent.start()
         kernel.start()
@@ -64,6 +65,10 @@ def _fresh_traces(run):
     return graph.truncated, graph.traces()
 
 
+def _fresh_columns(run):
+    return CausalGraph(run).columns()
+
+
 # -- the causal pass ---------------------------------------------------------
 
 def test_memoized_reports_equal_fresh_causal_graph_reports(monkeypatch):
@@ -76,8 +81,23 @@ def test_memoized_reports_equal_fresh_causal_graph_reports(monkeypatch):
     fresh_truncated, fresh = _fresh_traces(run)
     assert truncated == fresh_truncated
     assert [_shape(t) for t in traces] == [_shape(t) for t in fresh]
-    # Render again with every pass built from a fresh CausalGraph.
-    monkeypatch.setattr(causal, "_run_traces", _fresh_traces)
+    # The memoized columns hold what the traces do, layers in the order
+    # the requests were first charged to them.
+    columns = run._causal[1]
+    assert columns.truncated == truncated
+    assert list(columns.req) == [t.req for t in fresh]
+    assert list(columns.latency_ns) == [t.latency_ns for t in fresh]
+    assert [bool(flag) for flag in columns.partial] == \
+        [t.partial for t in fresh]
+    charged = {}
+    for trace in fresh:
+        charged.update(dict.fromkeys(trace.blame))
+    assert list(columns.blame) == list(charged)
+    for layer, column in columns.blame.items():
+        assert list(column) == [t.blame.get(layer, 0.0) for t in fresh]
+    # Render again with every pass and every graph built fresh.
+    monkeypatch.setattr(causal, "_columns", _fresh_columns)
+    monkeypatch.setattr(causal, "_graph", CausalGraph)
     assert [run_report(hub), analyze_report(hub),
             analyze_report(hub, percentile=50.0)] == memo_reports
 
@@ -135,9 +155,12 @@ def test_shard_round_trip_carries_no_memo():
     assert hub.runs[0]._causal is not None
     data = pickle.dumps(hub.shard())
     assert b"RequestTrace" not in data
+    assert b"RequestColumns" not in data
+    assert b"CausalGraph" not in data
     absorbed = Telemetry()
     absorbed.absorb(pickle.loads(data))
     assert absorbed.runs[0]._causal is None
+    assert absorbed.runs[0]._graph is None
     assert (run_report(absorbed), analyze_report(absorbed)) == reports
 
 
@@ -155,6 +178,58 @@ def test_representative_columns_follow_latency_rank():
     assert by_layer["nic-core"] == (20.0, 0.0, 0.0)
     assert by_layer["host-cpu"] == (0.0, 30.0, 30.0)
     assert by_layer["pcie"] == (0.0, 0.0, 0.0)
+
+
+def test_blame_rows_equal_per_trace_sums_bit_for_bit():
+    """Over two runs, the column sums give exactly the floats of adding
+    each trace's blame dict in run order, then request id order."""
+    hub = _observed_hub()
+    hub.absorb(_observed_hub(FifoPolicy()).shard())
+    assert len(hub.runs) == 2
+    rows, requests, truncated = blame_table(hub)
+    traces, traced_truncated = request_traces(hub)
+    assert (len(requests), truncated) == (len(traces), traced_truncated)
+    ordered = sorted(traces, key=operator.attrgetter(
+        "latency_ns", "run_label", "req"))
+    reps = [ordered[causal._rank(len(traces), q)].blame
+            for q in (50.0, 95.0, 99.0)]
+    sums = {}
+    for trace in traces:
+        for layer, ns in trace.blame.items():
+            sums[layer] = sums.get(layer, 0.0) + ns
+    grand = sum(sums.values())
+    assert [row[0] for row in rows] == [
+        layer for layer in causal.LAYERS if layer in sums]
+    assert rows == [(layer, sums[layer] / len(traces), sums[layer] / grand,
+                     *[rep.get(layer, 0.0) for rep in reps])
+                    for layer, *_ in rows]
+
+
+def test_representatives_rank_like_sorted_traces():
+    """At every percentile the representative is the request a stable
+    sort of all traces by (latency, run label, request id) puts at that
+    rank: latency ties across runs go to the smaller label, then the
+    smaller id, then the earlier run."""
+    hub = Telemetry()
+    for label, starts, latencies in (
+            ("b", 0.0, [10.0, 20.0, 10.0]), ("a", 0.0, [10.0, 10.0]),
+            ("b", 500.0, [10.0]), ("", 0.0, [20.0, 5.0])):
+        run = hub.attach(Environment(), label=label)
+        for i, dur in enumerate(latencies):
+            run.span("task.run", "t", start_ns=starts + 100.0 * i,
+                     dur_ns=dur, root=True)
+    traces, _ = request_traces(hub)
+    ordered = sorted(traces, key=operator.attrgetter(
+        "latency_ns", "run_label", "req"))
+    _, requests, _ = blame_table(hub)
+    for q in range(101):
+        run, columns, k = requests.at_rank(float(q))
+        rep = ordered[causal._rank(len(ordered), q)]
+        trace = CausalGraph(run).trace(columns.req[k])
+        assert (trace.run_label, trace.req, trace.latency_ns) == \
+            (rep.run_label, rep.req, rep.latency_ns)
+        assert trace.path_spans()[0].begin_ns == \
+            rep.path_spans()[0].begin_ns
 
 
 # -- the analysis against a direct transcription of its definition ----------
